@@ -33,17 +33,19 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.errors import ExecutionError
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
 from repro.dsms.expr import (
-    AggregateCall,
-    EvalContext,
-    Expr,
-    StatefulCall,
-    SuperAggregateCall,
-    evaluate,
+    ONE,
+    Closure,
+    Frame,
+    RecordPlans,
+    Resolver,
+    group_by_columns,
+    lower,
+    lower_optional,
 )
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.parser.planner import SamplingSpec
@@ -91,105 +93,11 @@ class WindowStats:
     peak_groups: int = 0
 
 
-class _TupleContext(EvalContext):
-    """WHERE-time context: raw columns, group-by variables, SFUNs,
-    superaggregates."""
-
-    def __init__(self, operator: "SamplingOperator") -> None:
-        self._op = operator
-        self.record: Optional[Record] = None
-        self.gb_values: Tuple[Any, ...] = ()
-        self.supergroup: Optional[SuperGroupEntry] = None
-
-    def column(self, name: str) -> Any:
-        # Prefer the record's own columns: for a plain-column group-by
-        # variable the value is identical, and the group-by expressions
-        # themselves are evaluated before gb_values exists.  Derived
-        # variables (time/20 AS tb, H(destIP) AS HX) resolve via gb_values.
-        assert self.record is not None
-        if name in self.record.schema:
-            return self.record[name]
-        index = self._op._gb_index.get(name)
-        if index is not None and self.gb_values:
-            return self.gb_values[index]
-        raise ExecutionError(f"column {name!r} not available at WHERE time")
-
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._op._charge("function_call")
-        return self._op._scalars.call(name, args)
-
-    def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
-        self._op._charge("sfun_call")
-        assert self.supergroup is not None
-        return self._op._stateful.invoke(node.name, self.supergroup.states, args)
-
-    def superaggregate_value(self, node: SuperAggregateCall) -> Any:
-        assert self.supergroup is not None
-        return self.supergroup.superaggregates[node.slot].value()
-
-
-class _GroupContext(EvalContext):
-    """Group-time context (CLEANING BY / HAVING / SELECT): group-by
-    variable values, finalized aggregates, SFUNs, superaggregates."""
-
-    def __init__(self, operator: "SamplingOperator") -> None:
-        self._op = operator
-        self.group: Optional[GroupEntry] = None
-        self.supergroup: Optional[SuperGroupEntry] = None
-
-    def column(self, name: str) -> Any:
-        index = self._op._gb_index.get(name)
-        if index is None:
-            raise ExecutionError(
-                f"column {name!r} is not a group-by variable"
-            )
-        assert self.group is not None
-        return self.group.key[index]
-
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._op._charge("function_call")
-        return self._op._scalars.call(name, args)
-
-    def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
-        self._op._charge("sfun_call")
-        assert self.supergroup is not None
-        return self._op._stateful.invoke(node.name, self.supergroup.states, args)
-
-    def aggregate_value(self, node: AggregateCall) -> Any:
-        assert self.group is not None
-        return self.group.aggregates[node.slot].value()
-
-    def superaggregate_value(self, node: SuperAggregateCall) -> Any:
-        assert self.supergroup is not None
-        return self.supergroup.superaggregates[node.slot].value()
-
-
-class _SuperGroupContext(EvalContext):
-    """CLEANING WHEN context: supergroup variables, SFUNs, superaggregates."""
-
-    def __init__(self, operator: "SamplingOperator") -> None:
-        self._op = operator
-        self.supergroup: Optional[SuperGroupEntry] = None
-        self.gb_values: Tuple[Any, ...] = ()
-
-    def column(self, name: str) -> Any:
-        index = self._op._gb_index.get(name)
-        if index is None:
-            raise ExecutionError(f"column {name!r} is not a group-by variable")
-        return self.gb_values[index]
-
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._op._charge("function_call")
-        return self._op._scalars.call(name, args)
-
-    def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
-        self._op._charge("sfun_call")
-        assert self.supergroup is not None
-        return self._op._stateful.invoke(node.name, self.supergroup.states, args)
-
-    def superaggregate_value(self, node: SuperAggregateCall) -> Any:
-        assert self.supergroup is not None
-        return self.supergroup.superaggregates[node.slot].value()
+_SUPERGROUP_STATES = attrgetter("supergroup.states")
+_SUPERAGGREGATES = attrgetter("supergroup.superaggregates")
+_AGGREGATES = attrgetter("group.aggregates")
+_GROUP_KEY = attrgetter("group.key")
+_GB_VALUES = attrgetter("gb")
 
 
 class SamplingOperator:
@@ -209,7 +117,6 @@ class SamplingOperator:
         account: str = "sampling",
     ) -> None:
         self.spec = spec
-        self._scalars = scalars
         self._stateful = stateful
         self._aggregate_factory = aggregate_factory
         self._superaggregate_factory = superaggregate_factory
@@ -228,9 +135,43 @@ class SamplingOperator:
         #: likewise for tuples dead-lettered at admission
         self._pending_quarantined = 0
 
-        self._tuple_ctx = _TupleContext(self)
-        self._group_ctx = _GroupContext(self)
-        self._super_ctx = _SuperGroupContext(self)
+        # Lower every clause once: per-tuple clauses per record schema;
+        # CLEANING WHEN (per tuple, but it sees only the group-by values
+        # and the tuple's supergroup) and the per-group clauses once.
+        calls = dict(
+            scalars=scalars,
+            stateful=stateful,
+            cost=cost_model,
+            account=account,
+            states=_SUPERGROUP_STATES,
+            superaggregates=_SUPERAGGREGATES,
+        )
+        # Per-tuple clauses and CLEANING WHEN read _row; per-group _grp.
+        self._row = Frame()
+        self._grp = Frame()
+        self._plans = RecordPlans(self._lower_rows, gb_index=self._gb_index, **calls)
+        self._use_schema(spec.analyzed.schema)
+        groups = Resolver(
+            columns=group_by_columns(self._gb_index, _GROUP_KEY),
+            aggregates=_AGGREGATES,
+            **calls,
+        )
+        self._cleaning_when = lower_optional(
+            spec.cleaning_when,
+            Resolver(columns=group_by_columns(self._gb_index, _GB_VALUES), **calls),
+        )
+        self._cleaning_by = lower_optional(spec.cleaning_by, groups)
+        self._having = lower_optional(spec.having, groups)
+        self._select = [lower(item.expr, groups) for item in spec.select_items]
+        #: per superaggregate: its lowered per-group value when it is
+        #: group-fed (evaluated as a group is added or removed), else None
+        self._group_values: List[Optional[Closure]] = [
+            lower(sa.value_expr, groups) if sa.feeds == "group" else None
+            for sa in spec.superaggregates
+        ]
+        self._group_feeds = [
+            (slot, fn) for slot, fn in enumerate(self._group_values) if fn is not None
+        ]
         self.bind_obs(MetricsRegistry(), NULL_TRACE, account)
 
     # -- observability -----------------------------------------------------------
@@ -330,14 +271,14 @@ class SamplingOperator:
         outputs: List[Record] = []
         self._charge("tuple_read")
         self.m_in.inc()
-        self._tuple_ctx.record = record
-        self._tuple_ctx.supergroup = None
-        self._tuple_ctx.gb_values = ()
+        if record.schema is not self._schema:
+            self._use_schema(record.schema)
+        row = self._row
+        row.values = record.values
+        row.record = record
 
-        gb_values = tuple(
-            evaluate(item.expr, self._tuple_ctx) for item in self.spec.group_by
-        )
-        self._tuple_ctx.gb_values = gb_values
+        gb_values = tuple([fn(row) for fn in self._gb_fns])
+        row.gb = gb_values
         window = tuple(gb_values[i] for i in self.spec.ordered_indices)
 
         if self._current_window is None:
@@ -368,11 +309,11 @@ class SamplingOperator:
         stats.tuples_seen += 1
 
         supergroup = self._lookup_supergroup(gb_values)
-        self._tuple_ctx.supergroup = supergroup
+        row.supergroup = supergroup
 
-        if self.spec.where is not None:
+        if self._where is not None:
             self._charge("predicate_eval")
-            if not evaluate(self.spec.where, self._tuple_ctx):
+            if not self._where(row):
                 self.m_filtered.inc()
                 return outputs
 
@@ -380,11 +321,10 @@ class SamplingOperator:
         self.m_admitted.inc()
 
         group_key = gb_values
-        for sa_spec, sa in zip(self.spec.superaggregates, supergroup.superaggregates):
-            if sa_spec.feeds == "tuple":
-                value = evaluate(sa_spec.value_expr, self._tuple_ctx)
-                sa.on_tuple(group_key, value)
-                self._charge("aggregate_update")
+        superaggregates = supergroup.superaggregates
+        for slot, value_fn in self._tuple_feeds:
+            superaggregates[slot].on_tuple(group_key, value_fn(row))
+            self._charge("aggregate_update")
 
         self._charge("hash_probe")
         group = self._tables.groups.get(group_key)
@@ -406,29 +346,22 @@ class SamplingOperator:
                     max(self.g_peak_groups.value, self._tables.group_count)
                 )
             self._charge("hash_insert")
-        for node, aggregate in zip(self.spec.aggregates, group.aggregates):
-            arg = node.args[0] if node.args else None
-            value = evaluate(arg, self._tuple_ctx) if arg is not None else 1
-            aggregate.update(value)
+        for arg_fn, aggregate in zip(self._aggregate_args, group.aggregates):
+            aggregate.update(arg_fn(row))
             self._charge("aggregate_update")
 
-        if is_new_group:
+        if is_new_group and self._group_feeds:
             # Register the brand-new group with the group-fed superaggregates.
-            self._group_ctx.group = group
-            self._group_ctx.supergroup = supergroup
-            for sa_spec, sa in zip(
-                self.spec.superaggregates, supergroup.superaggregates
-            ):
-                if sa_spec.feeds == "group":
-                    value = evaluate(sa_spec.value_expr, self._group_ctx)
-                    sa.on_group_added(group_key, value)
-                    self._charge("aggregate_update")
+            grp = self._grp
+            grp.group = group
+            grp.supergroup = supergroup
+            for slot, value_fn in self._group_feeds:
+                superaggregates[slot].on_group_added(group_key, value_fn(grp))
+                self._charge("aggregate_update")
 
-        if self.spec.cleaning_when is not None:
-            self._super_ctx.supergroup = supergroup
-            self._super_ctx.gb_values = gb_values
+        if self._cleaning_when is not None:
             self._charge("predicate_eval")
-            if evaluate(self.spec.cleaning_when, self._super_ctx):
+            if self._cleaning_when(row):
                 if self.obs_trace.enabled:
                     self.obs_trace.emit(
                         "cleaning_trigger",
@@ -584,6 +517,28 @@ class SamplingOperator:
     def _charge(self, operation: str, count: int = 1) -> None:
         self._cost.charge(self._account, operation, count)
 
+    def _lower_rows(self, before: Resolver, after: Resolver) -> Tuple[Any, ...]:
+        spec = self.spec
+        return (
+            [lower(item.expr, before) for item in spec.group_by],
+            lower_optional(spec.where, after),
+            [
+                (i, lower(sa.value_expr, after))
+                for i, sa in enumerate(spec.superaggregates)
+                if sa.feeds == "tuple"
+            ],
+            [
+                lower(node.args[0], after) if node.args else ONE
+                for node in spec.aggregates
+            ],
+        )
+
+    def _use_schema(self, schema: Any) -> None:
+        self._schema = schema
+        self._gb_fns, self._where, self._tuple_feeds, self._aggregate_args = (
+            self._plans.plan(schema)
+        )
+
     def _open_window(self, window: Tuple[Any, ...]) -> None:
         self._current_window = window
         self._active_stats = WindowStats(window=window)
@@ -631,18 +586,15 @@ class SamplingOperator:
         stats.cleaning_phases += 1
         self.m_cleaning_phases.inc()
         self._charge("cleaning_phase")
-        self._group_ctx.supergroup = supergroup
+        grp = self._grp
         for group_key in self._tables.groups_of(supergroup.key):
             group = self._tables.groups.get(group_key)
             if group is None:
                 continue
-            self._group_ctx.group = group
+            grp.group = group
+            grp.supergroup = supergroup
             self._charge("cleaning_per_group")
-            keep = (
-                True
-                if self.spec.cleaning_by is None
-                else bool(evaluate(self.spec.cleaning_by, self._group_ctx))
-            )
+            keep = self._cleaning_by is None or bool(self._cleaning_by(grp))
             if not keep:
                 self._evict_group(group, supergroup)
                 stats.groups_evicted += 1
@@ -656,14 +608,13 @@ class SamplingOperator:
                     )
 
     def _evict_group(self, group: GroupEntry, supergroup: SuperGroupEntry) -> None:
-        self._group_ctx.group = group
-        self._group_ctx.supergroup = supergroup
-        for sa_spec, sa in zip(self.spec.superaggregates, supergroup.superaggregates):
-            if sa_spec.feeds == "group":
-                value = evaluate(sa_spec.value_expr, self._group_ctx)
-                sa.on_group_removed(group.key, value)
-            else:
-                sa.on_group_removed(group.key, None)
+        grp = self._grp
+        grp.group = group
+        grp.supergroup = supergroup
+        for sa, value_fn in zip(supergroup.superaggregates, self._group_values):
+            sa.on_group_removed(
+                group.key, value_fn(grp) if value_fn is not None else None
+            )
         self._tables.remove_group(group.key)
         self._charge("hash_delete")
 
@@ -679,16 +630,17 @@ class SamplingOperator:
 
         # 2. HAVING filters groups; survivors are emitted.
         outputs: List[Record] = []
+        grp = self._grp
         for group_key in list(self._tables.groups.keys()):
             group = self._tables.groups.get(group_key)
             if group is None:
                 continue
             supergroup = self._tables.new_supergroups[group.supergroup_key]
-            self._group_ctx.group = group
-            self._group_ctx.supergroup = supergroup
-            if self.spec.having is not None:
+            grp.group = group
+            grp.supergroup = supergroup
+            if self._having is not None:
                 self._charge("predicate_eval")
-                if not evaluate(self.spec.having, self._group_ctx):
+                if not self._having(grp):
                     self._evict_group(group, supergroup)
                     self.m_having_rejected.inc()
                     if self.obs_trace.enabled:
@@ -699,9 +651,7 @@ class SamplingOperator:
                             group=list(group.key),
                         )
                     continue
-            values = [
-                evaluate(item.expr, self._group_ctx) for item in self.spec.select_items
-            ]
+            values = [fn(grp) for fn in self._select]
             outputs.append(Record(self.spec.output_schema, values))
             self._charge("output_tuple")
             if self.obs_trace.enabled:

@@ -26,7 +26,7 @@ configuration of an experiment, so ratios and orderings are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Dict
 
 from repro.errors import CostModelError
@@ -104,16 +104,25 @@ class CostModel:
         self._accounts: Dict[str, int] = {}
         self.enabled = True
 
+    @property
+    def book(self) -> CostBook:
+        return self._book
+
+    @book.setter
+    def book(self, book: CostBook) -> None:
+        # Charging is per tuple: resolve the book into a plain table once.
+        self._book = book
+        self._units = {f.name: getattr(book, f.name) for f in fields(book)}
+
     # -- charging ------------------------------------------------------------
 
     def charge(self, account: str, operation: str, count: int = 1) -> None:
         """Charge ``count`` occurrences of ``operation`` to ``account``."""
         if not self.enabled:
             return
-        try:
-            unit = getattr(self.book, operation)
-        except AttributeError:
-            raise CostModelError(f"unknown cost operation {operation!r}") from None
+        unit = self._units.get(operation)
+        if unit is None:
+            raise CostModelError(f"unknown cost operation {operation!r}")
         if count < 0:
             raise CostModelError("cannot charge a negative count")
         self._accounts[account] = self._accounts.get(account, 0) + unit * count

@@ -1,23 +1,35 @@
-"""Expression AST and evaluator for the GSQL subset.
+"""Expression AST, its operator semantics, and the lowering to closures.
 
 The parser builds these nodes; the analyzer classifies function calls into
 scalar functions, aggregates, superaggregates (``name$``-suffixed, paper
-§6.3) and stateful functions (paper §6.2); the operators evaluate them
-against an :class:`EvalContext`.
+§6.3) and stateful functions (paper §6.2).
 
-Evaluation is context-driven rather than closure-compiled: the sampling
-operator evaluates the same expression trees in several phases (per-tuple
-WHERE, per-supergroup CLEANING WHEN, per-group CLEANING BY / HAVING, and
-output SELECT), and each phase exposes a different context.  A context
-only needs to implement the hooks for node kinds that can legally appear
-in its clause — the analyzer enforces legality, so a hook that is missing
-at runtime is a bug, reported as :class:`ExecutionError`.
+Operators never walk a tree per record.  When an operator is built, each
+analyzed tree is lowered once by :func:`lower` into a plain closure over
+a phase-specific environment: the sampling operator lowers the same
+clauses for several phases (per-tuple GROUP BY / WHERE / aggregate
+arguments, per-supergroup CLEANING WHEN, per-group CLEANING BY / HAVING /
+SELECT), and each phase's :class:`Resolver` decides, before any record
+arrives, where a column lives (a fixed index into ``Record.values``, the
+group key, or the group-by values) and which scalar function or SFUN a
+call binds to.  Per-tuple clauses read record columns by position, so
+:class:`RecordPlans` lowers them once per record schema.  The analyzer
+enforces clause legality, so a leaf a phase cannot see is a bug,
+reported as :class:`ExecutionError` when it runs.
+
+:data:`BINARY` and :func:`negate` are the one table of operator
+semantics — int/int floor division, bool-is-not-int, zero divisors,
+span-carrying operand errors — shared with the vectorized batch compiler.
+:func:`evaluate` remains for one-off evaluation against an
+:class:`EvalContext`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.dsms.span import Span
 from repro.errors import ExecutionError
@@ -187,15 +199,413 @@ class StatefulCall(Expr):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Operator semantics (one table for the tuple closures and the batch engine)
+# ---------------------------------------------------------------------------
+
+
+def is_integer(value: Any) -> bool:
+    """True for values that take SQL/C integer-division semantics.
+
+    ``bool`` is excluded deliberately: it subclasses ``int`` in Python,
+    but ``TRUE / 2`` floor-dividing to ``0`` is a silent wrong answer —
+    booleans divide as ordinary numbers (``0.5``), matching the numpy
+    batch engine, which promotes bool columns to float on division.
+    """
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _python_type_name(value: Any) -> str:
+    return type(value).__name__
+
+
+def operand_error(
+    expr: Union["UnaryOp", "BinaryOp"],
+    *operands: Any,
+    type_name: Callable[[Any], str] = _python_type_name,
+) -> ExecutionError:
+    """A mixed-type operand failure as a span-carrying ExecutionError.
+
+    Without this, ``srcIP > 100`` on a string column escapes as a raw
+    ``TypeError`` traceback from deep inside the operator instead of a
+    diagnostic that names the expression and its source position.
+    ``type_name`` lets the batch engine name array operands.
+    """
+    names = " and ".join(type_name(value) for value in operands)
+    plural = "s" if len(operands) > 1 else ""
+    return ExecutionError(
+        f"cannot evaluate {expr}: unsupported operand type{plural} for"
+        f" {expr.op!r} ({names})",
+        span=expr.span,
+    )
+
+
+#: Zero-divisor error text (two ints: ``integer division by zero``).
+ZERO_DIVISOR = {"/": "division by zero", "%": "modulo by zero"}
+
+
+def _divide(a: Any, b: Any) -> Any:
+    # Two ints floor-divide (``time/60`` must bucket, not produce floats).
+    integer = is_integer(a) and is_integer(b)
+    if b == 0:
+        raise ZeroDivisionError(("integer " if integer else "") + ZERO_DIVISOR["/"])
+    return a // b if integer else a / b
+
+
+def _modulo(a: Any, b: Any) -> Any:
+    if b == 0:
+        raise ZeroDivisionError(ZERO_DIVISOR["%"])
+    return a % b
+
+
+#: ``op -> fn(left, right)``: the scalar semantics of every non-logical
+#: binary operator.  Those other than ``/`` and ``%`` are Python's own;
+#: a TypeError means mixed operand types (``=``/``<>`` never raise one:
+#: mismatched types compare unequal) and a ZeroDivisionError carries the
+#: zero-divisor message.  :func:`binary` turns both into span-carrying
+#: ExecutionErrors.  AND/OR short-circuit on the tuple path and are
+#: lowered separately.
+BINARY: dict = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "/": _divide,
+    "%": _modulo,
+}
+
+
+def negate(value: Any, expr: UnaryOp) -> Any:
+    """Unary minus, with a span-carrying error for non-numbers."""
+    try:
+        return -value
+    except TypeError:
+        raise operand_error(expr, value) from None
+
+
+# ---------------------------------------------------------------------------
+# Lowering: expression trees to closures, once per operator
+# ---------------------------------------------------------------------------
+
+#: A lowered expression: ``closure(env) -> value``.  What ``env`` is
+#: depends on the phase (a record frame, a group frame, an EvalContext);
+#: only the leaf closures a :class:`Resolver` builds ever look at it.
+Closure = Callable[[Any], Any]
+
+
+def _constant(value: Any) -> Closure:
+    return lambda env: value
+
+
+#: The argument of an argument-less aggregate (``count()``).
+ONE = _constant(1)
+
+
+class Frame:
+    """The environment operators hand their lowered closures.
+
+    One frame per operator phase, refilled for every record or group;
+    a phase's resolver reads only the slots its operator fills.
+    """
+
+    __slots__ = (
+        "values", "record", "gb", "key", "aggregates", "group", "supergroup",
+        "states",
+    )
+
+    def __init__(self, **slots: Any) -> None:
+        for name in self.__slots__:
+            setattr(self, name, slots.get(name))
+
+
+def fail(message: str, args: Sequence[Closure] = ()) -> Closure:
+    """A closure that evaluates ``args`` and then raises ``message``."""
+
+    def raises(env: Any) -> Any:
+        for arg in args:
+            arg(env)
+        raise ExecutionError(message)
+
+    return raises
+
+
+def _bind_call(
+    fn: Callable[..., Any], args: Sequence[Closure], charge: Callable[[], None]
+) -> Closure:
+    """``fn(*args)`` over lowered arguments, charging between argument
+    evaluation and the call (the order the cost model has always used)."""
+
+    def call(env: Any) -> Any:
+        values = [arg(env) for arg in args]
+        charge()
+        return fn(*values)
+
+    return call
+
+
+class Resolver:
+    """Binds one evaluation phase's leaf nodes to closures.
+
+    :func:`lower` compiles literals and operators itself and asks the
+    resolver for every node whose value comes from outside the tree:
+
+    * ``columns(name)`` returns the closure reading a column in this
+      phase (the phase decides: a fixed index into ``Record.values``, the
+      group key, the group-by values);
+    * scalar functions and SFUNs resolve against ``scalars`` /
+      ``stateful`` once, and charge ``function_call`` / ``sfun_call`` to
+      ``account`` each time they run; ``states(env)`` is the SFUN state
+      set the call runs against;
+    * ``aggregates(env)`` / ``superaggregates(env)`` are the group's
+      aggregate vector and the supergroup's superaggregate vector.
+
+    Leaves a phase cannot see lower to closures that raise
+    :class:`ExecutionError` when run: the analyzer enforces clause
+    legality, so reaching one is a bug, reported where it happens.
+    """
+
+    def __init__(
+        self,
+        columns: Optional[Callable[[str], Closure]] = None,
+        scalars: Any = None,
+        stateful: Any = None,
+        cost: Any = None,
+        account: str = "",
+        states: Optional[Closure] = None,
+        aggregates: Optional[Closure] = None,
+        superaggregates: Optional[Closure] = None,
+    ) -> None:
+        self._columns = columns
+        self._scalars = scalars
+        self._stateful = stateful
+        self._cost = cost
+        self._account = account
+        self._states = states
+        self._aggregates = aggregates
+        self._superaggregates = superaggregates
+
+    def _charger(self, operation: str) -> Callable[[], None]:
+        if self._cost is None:
+            return lambda: None
+        return partial(self._cost.charge, self._account, operation)
+
+    def column(self, node: ColumnRef) -> Closure:
+        if self._columns is None:
+            return fail(f"column {node.name!r} not available in this context")
+        return self._columns(node.name)
+
+    def scalar(self, node: ScalarCall, args: Sequence[Closure]) -> Closure:
+        if self._scalars is None:
+            return fail(
+                f"scalar function {node.name!r} not available in this context", args
+            )
+        return _bind_call(
+            self._scalars.get(node.name), args, self._charger("function_call")
+        )
+
+    def stateful(self, node: StatefulCall, args: Sequence[Closure]) -> Closure:
+        if self._stateful is None or self._states is None:
+            return fail(
+                f"stateful function {node.name!r} not available in this context",
+                args,
+            )
+        return _bind_call(
+            self._stateful.bind(node.name),
+            (self._states, *args),
+            self._charger("sfun_call"),
+        )
+
+    def aggregate(self, node: AggregateCall) -> Closure:
+        vector = self._aggregates
+        if vector is None:
+            return fail(f"aggregate {node.name!r} not available in this context")
+        slot = node.slot
+        return lambda env: vector(env)[slot].value()
+
+    def superaggregate(self, node: SuperAggregateCall) -> Closure:
+        vector = self._superaggregates
+        if vector is None:
+            return fail(
+                f"superaggregate {node.name}$ not available in this context"
+            )
+        slot = node.slot
+        return lambda env: vector(env)[slot].value()
+
+
+def group_by_columns(
+    gb_index: Dict[str, int], values: Closure
+) -> Callable[[str], Closure]:
+    """Columns of a phase that sees only the group-by variables, whose
+    values ``values(env)`` returns (the tuple's, or a group's key)."""
+
+    def column(name: str) -> Closure:
+        j = gb_index.get(name)
+        if j is None:
+            return fail(f"column {name!r} is not a group-by variable")
+        return lambda env: values(env)[j]
+
+    return column
+
+
+class RecordPlans:
+    """An operator's per-tuple clauses, lowered once per record schema.
+
+    Per-tuple clauses read a record's columns by position, fixed when
+    they are lowered.  Records normally carry the analyzed schema
+    object; one that carries another (an equal copy unpickled in a
+    worker, or one with its columns in another order) gets the clauses
+    lowered against its own columns, and each schema is lowered once.
+
+    ``lower_clauses(before, after)`` is the operator's lowering of its
+    clauses: ``before`` resolves the group-by expressions themselves,
+    which run before any group-by value exists, ``after`` every clause
+    that runs once the frame's ``gb`` holds them.  A name that is both a
+    record column and a group-by variable reads the group-by value when
+    ``gb_first`` (the aggregation operator), else the record's column
+    (the sampling operator: for a plain-column variable the two agree).
+    A name the record lacks is looked up on the record, which raises
+    :class:`~repro.errors.SchemaError`.
+    """
+
+    def __init__(
+        self,
+        lower_clauses: Callable[[Resolver, Resolver], Any],
+        gb_index: Optional[Dict[str, int]] = None,
+        gb_first: bool = False,
+        **calls: Any,
+    ) -> None:
+        self._lower_clauses = lower_clauses
+        self._gb_index = gb_index or {}
+        self._gb_first = gb_first
+        self._calls = calls
+        self._plans: Dict[Any, Any] = {}
+
+    def plan(self, schema: Any) -> Any:
+        """The clauses lowered for records of ``schema``."""
+        plan = self._plans.get(schema)
+        if plan is None:
+            plan = self._plans[schema] = self._lower_clauses(
+                Resolver(columns=partial(self._column, schema, False), **self._calls),
+                Resolver(columns=partial(self._column, schema, True), **self._calls),
+            )
+        return plan
+
+    def _column(self, schema: Any, gb_ready: bool, name: str) -> Closure:
+        j = self._gb_index.get(name) if gb_ready else None
+        if j is not None and self._gb_first:
+            return lambda env: env.gb[j]
+        if name in schema:
+            i = schema.index_of(name)
+            return lambda env: env.values[i]
+        if j is not None:
+            return lambda env: env.gb[j]
+        return lambda env: env.record[name]
+
+
+def lower_optional(expr: Optional[Expr], resolver: Resolver) -> Optional[Closure]:
+    """:func:`lower` for an optional clause (``None`` stays ``None``)."""
+    return lower(expr, resolver) if expr is not None else None
+
+
+def lower(expr: Expr, resolver: Resolver) -> Closure:
+    """Compile ``expr`` into one closure, resolving its leaves once.
+
+    The closure applies :data:`BINARY` / :func:`negate` semantics; AND/OR
+    short-circuit.  Errors (zero divisors, mixed operand types, leaves
+    the phase cannot see) are raised when the closure runs, never at
+    lowering time, so a branch that short-circuits away cannot fail.
+    """
+    if isinstance(expr, Literal):
+        return _constant(expr.value)
+    if isinstance(expr, ColumnRef):
+        return resolver.column(expr)
+    if isinstance(expr, Star):
+        return ONE  # count(*) counts rows; the argument is irrelevant
+    if isinstance(expr, UnaryOp):
+        return _lower_unary(expr, lower(expr.operand, resolver))
+    if isinstance(expr, BinaryOp):
+        return _lower_binary(
+            expr, lower(expr.left, resolver), lower(expr.right, resolver)
+        )
+    if isinstance(expr, ScalarCall):
+        return resolver.scalar(expr, [lower(a, resolver) for a in expr.args])
+    if isinstance(expr, AggregateCall):
+        return resolver.aggregate(expr)
+    if isinstance(expr, SuperAggregateCall):
+        return resolver.superaggregate(expr)
+    if isinstance(expr, StatefulCall):
+        return resolver.stateful(expr, [lower(a, resolver) for a in expr.args])
+    if isinstance(expr, FunctionCall):
+        return fail(
+            f"unclassified function call {expr.name!r} reached evaluation;"
+            " run the analyzer before executing"
+        )
+    return fail(f"unknown expression node {type(expr).__name__}")
+
+
+def _lower_unary(expr: UnaryOp, operand: Closure) -> Closure:
+    if expr.op == "-":
+        return lambda env: negate(operand(env), expr)
+    if expr.op == "NOT":
+        return lambda env: not operand(env)
+    return fail(f"unknown unary operator {expr.op!r}", (operand,))
+
+
+def _lower_binary(expr: BinaryOp, left: Closure, right: Closure) -> Closure:
+    op = expr.op
+    if op == "AND":
+        return lambda env: bool(left(env)) and bool(right(env))
+    if op == "OR":
+        return lambda env: bool(left(env)) or bool(right(env))
+    if op not in BINARY:
+        return fail(f"unknown binary operator {op!r}", (left, right))
+    return binary(expr, left, right)
+
+
+def binary(expr: BinaryOp, left: Closure, right: Closure) -> Closure:
+    """The closure applying :data:`BINARY`'s ``expr.op`` to two operands.
+
+    A mixed-operand TypeError or a zero divisor is re-raised as an
+    :class:`ExecutionError` carrying ``expr``'s span.  The batch engine's
+    element-wise fallback runs the same closure over value pairs
+    (:data:`PAIR`).
+    """
+    fn = BINARY[expr.op]
+
+    def apply(env: Any) -> Any:
+        a = left(env)
+        b = right(env)
+        try:
+            return fn(a, b)
+        except TypeError:
+            raise operand_error(expr, a, b) from None
+        except ZeroDivisionError as exc:
+            raise ExecutionError(str(exc), span=expr.span) from None
+
+    return apply
+
+
+#: Operand closures over a ``(left, right)`` pair of values, for
+#: applying :func:`binary` to values that are already computed.
+PAIR = (operator.itemgetter(0), operator.itemgetter(1))
+
+
+# ---------------------------------------------------------------------------
+# EvalContext: one-off evaluation through overridable hooks
 # ---------------------------------------------------------------------------
 
 
 class EvalContext:
-    """Resolution hooks for expression evaluation.
+    """Resolution hooks for one-off :func:`evaluate` calls.
 
-    Subclasses override the hooks relevant to their phase.  The default
-    implementations raise, which surfaces analyzer gaps as explicit errors
+    Operators do not use this: they lower each tree once against a
+    :class:`Resolver`.  Subclasses override the hooks relevant to their
+    use; the defaults raise, which surfaces gaps as explicit errors
     instead of silent Nones.
     """
 
@@ -219,119 +629,37 @@ class EvalContext:
         )
 
 
-_ARITHMETIC: dict = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "%": lambda a, b: a % b,
-}
+class _HookResolver(Resolver):
+    """Binds every leaf to the :class:`EvalContext` hook that serves it."""
 
-_COMPARISON: dict = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+    def column(self, node: ColumnRef) -> Closure:
+        name = node.name
+        return lambda ctx: ctx.column(name)
+
+    def scalar(self, node: ScalarCall, args: Sequence[Closure]) -> Closure:
+        name = node.name
+        return lambda ctx: ctx.call_scalar(name, [a(ctx) for a in args])
+
+    def stateful(self, node: StatefulCall, args: Sequence[Closure]) -> Closure:
+        return lambda ctx: ctx.call_stateful(node, [a(ctx) for a in args])
+
+    def aggregate(self, node: AggregateCall) -> Closure:
+        return lambda ctx: ctx.aggregate_value(node)
+
+    def superaggregate(self, node: SuperAggregateCall) -> Closure:
+        return lambda ctx: ctx.superaggregate_value(node)
+
+
+_HOOKS = _HookResolver()
 
 
 def evaluate(expr: Expr, ctx: EvalContext) -> Any:
-    """Evaluate ``expr`` against ``ctx``.
+    """Evaluate ``expr`` once against ``ctx``'s hooks.
 
-    Division follows SQL/C integer semantics on two ints (``time/60`` must
-    bucket, not produce floats) and float semantics otherwise.  AND/OR
-    short-circuit.
+    A thin wrapper over :func:`lower` for one-off evaluation (tests,
+    reference checks); hot paths lower once and call the closure.
     """
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, ColumnRef):
-        return ctx.column(expr.name)
-    if isinstance(expr, Star):
-        return 1  # count(*) counts rows; the argument value is irrelevant
-    if isinstance(expr, UnaryOp):
-        value = evaluate(expr.operand, ctx)
-        if expr.op == "-":
-            return -value
-        if expr.op == "NOT":
-            return not value
-        raise ExecutionError(f"unknown unary operator {expr.op!r}")
-    if isinstance(expr, BinaryOp):
-        return _evaluate_binary(expr, ctx)
-    if isinstance(expr, ScalarCall):
-        args = [evaluate(a, ctx) for a in expr.args]
-        return ctx.call_scalar(expr.name, args)
-    if isinstance(expr, AggregateCall):
-        return ctx.aggregate_value(expr)
-    if isinstance(expr, SuperAggregateCall):
-        return ctx.superaggregate_value(expr)
-    if isinstance(expr, StatefulCall):
-        args = [evaluate(a, ctx) for a in expr.args]
-        return ctx.call_stateful(expr, args)
-    if isinstance(expr, FunctionCall):
-        raise ExecutionError(
-            f"unclassified function call {expr.name!r} reached evaluation;"
-            " run the analyzer before executing"
-        )
-    raise ExecutionError(f"unknown expression node {type(expr).__name__}")
-
-
-def _is_integer(value: Any) -> bool:
-    """True for values that take SQL/C integer-division semantics.
-
-    ``bool`` is excluded deliberately: it subclasses ``int`` in Python,
-    but ``TRUE / 2`` floor-dividing to ``0`` is a silent wrong answer —
-    booleans divide as ordinary numbers (``0.5``), matching the numpy
-    batch engine, which promotes bool columns to float on division.
-    """
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _evaluate_binary(expr: BinaryOp, ctx: EvalContext) -> Any:
-    op = expr.op
-    if op == "AND":
-        return bool(evaluate(expr.left, ctx)) and bool(evaluate(expr.right, ctx))
-    if op == "OR":
-        return bool(evaluate(expr.left, ctx)) or bool(evaluate(expr.right, ctx))
-    left = evaluate(expr.left, ctx)
-    right = evaluate(expr.right, ctx)
-    if op == "/":
-        if _is_integer(left) and _is_integer(right):
-            if right == 0:
-                raise ExecutionError("integer division by zero", span=expr.span)
-            return left // right
-        if right == 0:
-            raise ExecutionError("division by zero", span=expr.span)
-        try:
-            return left / right
-        except TypeError:
-            raise _type_error(op, left, right, expr) from None
-    if op in _ARITHMETIC:
-        try:
-            return _ARITHMETIC[op](left, right)
-        except TypeError:
-            raise _type_error(op, left, right, expr) from None
-    if op in _COMPARISON:
-        try:
-            return _COMPARISON[op](left, right)
-        except TypeError:
-            raise _type_error(op, left, right, expr) from None
-    raise ExecutionError(f"unknown binary operator {op!r}")
-
-
-def _type_error(op: str, left: Any, right: Any, expr: BinaryOp) -> ExecutionError:
-    """A mixed-type operand failure as a span-carrying ExecutionError.
-
-    Without this, ``srcIP > 100`` on a string column escapes as a raw
-    ``TypeError`` traceback from deep inside the operator instead of a
-    diagnostic that names the expression and its source position.
-    """
-    return ExecutionError(
-        f"cannot evaluate {expr}: unsupported operand types for {op!r}"
-        f" ({type(left).__name__} and {type(right).__name__})",
-        span=expr.span,
-    )
+    return lower(expr, _HOOKS)(ctx)
 
 
 # ---------------------------------------------------------------------------

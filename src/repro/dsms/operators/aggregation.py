@@ -13,55 +13,26 @@ windows run next to the sampling query.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.dsms.aggregates import Aggregate, AggregateRegistry
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.expr import AggregateCall, EvalContext, evaluate
+from repro.dsms.expr import (
+    ONE,
+    Frame,
+    RecordPlans,
+    Resolver,
+    group_by_columns,
+    lower,
+    lower_optional,
+)
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.operators.base import Operator
 from repro.dsms.parser.analyzer import AnalyzedQuery
 from repro.streams.records import Record
 from repro.streams.schema import StreamSchema
-
-
-class _AggTupleContext(EvalContext):
-    def __init__(self, operator: "AggregationOperator") -> None:
-        self._op = operator
-        self.record: Optional[Record] = None
-        self.gb_values: Tuple[Any, ...] = ()
-
-    def column(self, name: str) -> Any:
-        index = self._op._gb_index.get(name)
-        if index is not None and self.gb_values:
-            return self.gb_values[index]
-        assert self.record is not None
-        return self.record[name]
-
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._op._cost.charge(self._op._account, "function_call")
-        return self._op._scalars.call(name, args)
-
-
-class _AggGroupContext(EvalContext):
-    def __init__(self, operator: "AggregationOperator") -> None:
-        self._op = operator
-        self.key: Tuple[Any, ...] = ()
-        self.aggregates: List[Aggregate] = []
-
-    def column(self, name: str) -> Any:
-        index = self._op._gb_index.get(name)
-        if index is None:
-            raise ExecutionError(f"column {name!r} is not a group-by variable")
-        return self.key[index]
-
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._op._cost.charge(self._op._account, "function_call")
-        return self._op._scalars.call(name, args)
-
-    def aggregate_value(self, node: AggregateCall) -> Any:
-        return self.aggregates[node.slot].value()
 
 
 class AggregationOperator(Operator):
@@ -84,7 +55,6 @@ class AggregationOperator(Operator):
             )
         self.analyzed = analyzed
         self.output_schema = output_schema
-        self._scalars = scalars
         self._registry = aggregates
         self._cost = cost_model
         self._account = account
@@ -96,9 +66,36 @@ class AggregationOperator(Operator):
         self._groups: Dict[Tuple[Any, ...], List[Aggregate]] = {}
         self._current_window: Optional[Tuple[Any, ...]] = None
 
-        self._tuple_ctx = _AggTupleContext(self)
-        self._group_ctx = _AggGroupContext(self)
+        # Lower every clause once: per-tuple clauses per record schema,
+        # per-group clauses against the group key and aggregate vector.
+        calls = dict(scalars=scalars, cost=cost_model, account=account)
+        self._frame = Frame()
+        self._plans = RecordPlans(
+            self._lower_rows, gb_index=self._gb_index, gb_first=True, **calls
+        )
+        self._use_schema(analyzed.schema)
+        groups = Resolver(
+            columns=group_by_columns(self._gb_index, attrgetter("key")),
+            aggregates=attrgetter("aggregates"),
+            **calls,
+        )
+        self._group_having = lower_optional(analyzed.ast.having, groups)
+        self._group_select = [lower(item.expr, groups) for item in analyzed.ast.select]
         self._default_obs(account)
+
+    def _lower_rows(self, before: Resolver, after: Resolver) -> Tuple[Any, ...]:
+        return (
+            [lower(item.expr, before) for item in self.analyzed.group_by],
+            lower_optional(self.analyzed.ast.where, after),
+            [
+                lower(node.args[0], after) if node.args else ONE
+                for node in self.analyzed.aggregates
+            ],
+        )
+
+    def _use_schema(self, schema: Any) -> None:
+        self._tuple_schema = schema
+        self._tuple_gb, self._tuple_where, self._tuple_args = self._plans.plan(schema)
 
     def _bind_series(self) -> None:
         super()._bind_series()
@@ -122,12 +119,13 @@ class AggregationOperator(Operator):
         )
 
     def process(self, record: Record) -> List[Record]:
-        self._tuple_ctx.record = record
-        self._tuple_ctx.gb_values = ()
-        gb_values = tuple(
-            evaluate(item.expr, self._tuple_ctx) for item in self.analyzed.group_by
-        )
-        self._tuple_ctx.gb_values = gb_values
+        if record.schema is not self._tuple_schema:
+            self._use_schema(record.schema)
+        frame = self._frame
+        frame.values = record.values
+        frame.record = record
+        gb_values = tuple([fn(frame) for fn in self._tuple_gb])
+        frame.gb = gb_values
         window = tuple(gb_values[i] for i in self._ordered_indices)
 
         outputs: List[Record] = []
@@ -146,10 +144,10 @@ class AggregationOperator(Operator):
         self._cost.charge(self._account, "tuple_read")
         self._cost.charge(self._account, "hash_probe")
         self.m_in.inc()
-        where = self.analyzed.ast.where
+        where = self._tuple_where
         if where is not None:
             self._cost.charge(self._account, "predicate_eval")
-            if not evaluate(where, self._tuple_ctx):
+            if not where(frame):
                 self.m_filtered.inc()
                 return outputs
         self.m_admitted.inc()
@@ -160,10 +158,8 @@ class AggregationOperator(Operator):
             self._groups[gb_values] = group
             self._cost.charge(self._account, "hash_insert")
             self.m_groups_created.inc()
-        for node, aggregate in zip(self.analyzed.aggregates, group):
-            arg = node.args[0] if node.args else None
-            value = evaluate(arg, self._tuple_ctx) if arg is not None else 1
-            aggregate.update(value)
+        for arg_fn, aggregate in zip(self._tuple_args, group):
+            aggregate.update(arg_fn(frame))
             self._cost.charge(self._account, "aggregate_update")
         return outputs
 
@@ -192,20 +188,18 @@ class AggregationOperator(Operator):
 
     def _emit_window(self) -> List[Record]:
         outputs: List[Record] = []
-        having = self.analyzed.ast.having
+        having = self._group_having
+        frame = self._frame
         self._cost.charge(self._account, "window_flush")
         for key, aggregates in self._groups.items():
-            self._group_ctx.key = key
-            self._group_ctx.aggregates = aggregates
+            frame.key = key
+            frame.aggregates = aggregates
             if having is not None:
                 self._cost.charge(self._account, "predicate_eval")
-                if not evaluate(having, self._group_ctx):
+                if not having(frame):
                     self.m_having_rejected.inc()
                     continue
-            values = [
-                evaluate(item.expr, self._group_ctx)
-                for item in self.analyzed.ast.select
-            ]
+            values = [fn(frame) for fn in self._group_select]
             outputs.append(Record(self.output_schema, values))
             self._cost.charge(self._account, "output_tuple")
         self.m_windows.inc()

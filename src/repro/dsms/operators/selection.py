@@ -9,47 +9,17 @@ operator" (§7.2) and how low-level prefilter queries work (Fig 6).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from operator import attrgetter
+from typing import Any, List, Optional, Tuple
 
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
-from repro.dsms.expr import EvalContext, StatefulCall, evaluate
+from repro.dsms.expr import Frame, RecordPlans, Resolver, lower, lower_optional
 from repro.dsms.functions import FunctionRegistry
 from repro.dsms.operators.base import Operator
 from repro.dsms.parser.analyzer import AnalyzedQuery
 from repro.dsms.stateful import StatefulLibrary
 from repro.streams.records import Record
 from repro.streams.schema import StreamSchema
-
-
-class _SelectionContext(EvalContext):
-    def __init__(
-        self,
-        scalars: FunctionRegistry,
-        stateful: Optional[StatefulLibrary],
-        states: Optional[dict],
-        cost_model: CostModel,
-        account: str,
-    ) -> None:
-        self._scalars = scalars
-        self._stateful = stateful
-        self._states = states
-        self._cost = cost_model
-        self._account = account
-        self.record: Optional[Record] = None
-
-    def column(self, name: str) -> Any:
-        assert self.record is not None
-        return self.record[name]
-
-    def call_scalar(self, name: str, args: Sequence[Any]) -> Any:
-        self._cost.charge(self._account, "function_call")
-        return self._scalars.call(name, args)
-
-    def call_stateful(self, node: StatefulCall, args: Sequence[Any]) -> Any:
-        if self._stateful is None or self._states is None:
-            return super().call_stateful(node, args)
-        self._cost.charge(self._account, "sfun_call")
-        return self._stateful.invoke(node.name, self._states, args)
 
 
 class SelectionOperator(Operator):
@@ -65,29 +35,62 @@ class SelectionOperator(Operator):
         cost_model: CostModel = NULL_COST_MODEL,
         account: str = "selection",
     ) -> None:
+        self._setup(analyzed, output_schema, scalars, None, None, cost_model, account)
+
+    def _setup(
+        self,
+        analyzed: AnalyzedQuery,
+        output_schema: StreamSchema,
+        scalars: FunctionRegistry,
+        stateful: Optional[StatefulLibrary],
+        states: Optional[dict],
+        cost_model: CostModel,
+        account: str,
+    ) -> None:
         self.analyzed = analyzed
         self.output_schema = output_schema
         self._cost = cost_model
         self._account = account
-        self._ctx = _SelectionContext(scalars, None, None, cost_model, account)
+        self._row = Frame(states=states)
+        self._plans = RecordPlans(
+            self._lower_rows,
+            scalars=scalars,
+            stateful=stateful,
+            cost=cost_model,
+            account=account,
+            states=attrgetter("states") if stateful is not None else None,
+        )
+        self._use_schema(analyzed.schema)
         self._default_obs(account)
 
+    def _lower_rows(self, before: Resolver, after: Resolver) -> Tuple[Any, ...]:
+        items = [lower(item.expr, after) for item in self.analyzed.ast.select]
+        return lower_optional(self.analyzed.ast.where, after), items
+
+    def _use_schema(self, schema: StreamSchema) -> None:
+        self._schema = schema
+        self._where, self._select = self._plans.plan(schema)
+
     def process(self, record: Record) -> List[Record]:
-        self._ctx.record = record
+        if record.schema is not self._schema:
+            self._use_schema(record.schema)
+        row = self._row
+        row.values = record.values
+        row.record = record
         self._cost.charge(self._account, "tuple_read")
         self.m_in.inc()
-        where = self.analyzed.ast.where
+        where = self._where
         if where is not None:
             self._cost.charge(self._account, "predicate_eval")
-            if not evaluate(where, self._ctx):
+            if not where(row):
                 self.m_filtered.inc()
                 return []
-        values = [evaluate(item.expr, self._ctx) for item in self.analyzed.ast.select]
+        values = [fn(row) for fn in self._select]
         self.m_rows_out.inc()
         return [Record(self.output_schema, values)]
 
 
-class StatefulSelectionOperator(Operator):
+class StatefulSelectionOperator(SelectionOperator):
     """Selection whose WHERE calls SFUNs against one global state set.
 
     The state persists for the life of the operator (there are no windows
@@ -106,28 +109,11 @@ class StatefulSelectionOperator(Operator):
         cost_model: CostModel = NULL_COST_MODEL,
         account: str = "stateful_selection",
     ) -> None:
-        self.analyzed = analyzed
-        self.output_schema = output_schema
-        self._cost = cost_model
-        self._account = account
         self._stateful = stateful
         self.states = stateful.instantiate_states(analyzed.state_names)
-        self._ctx = _SelectionContext(scalars, stateful, self.states, cost_model, account)
-        self._default_obs(account)
-
-    def process(self, record: Record) -> List[Record]:
-        self._ctx.record = record
-        self._cost.charge(self._account, "tuple_read")
-        self.m_in.inc()
-        where = self.analyzed.ast.where
-        if where is not None:
-            self._cost.charge(self._account, "predicate_eval")
-            if not evaluate(where, self._ctx):
-                self.m_filtered.inc()
-                return []
-        values = [evaluate(item.expr, self._ctx) for item in self.analyzed.ast.select]
-        self.m_rows_out.inc()
-        return [Record(self.output_schema, values)]
+        self._setup(
+            analyzed, output_schema, scalars, stateful, self.states, cost_model, account
+        )
 
     def checkpoint(self) -> Any:
         """Snapshot the global SFUN state set by state *name* (the state
@@ -137,4 +123,4 @@ class StatefulSelectionOperator(Operator):
 
     def restore(self, snapshot: Any) -> None:
         self.states = self._stateful.restore_states(snapshot["states"])
-        self._ctx._states = self.states
+        self._row.states = self.states

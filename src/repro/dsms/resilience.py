@@ -6,10 +6,10 @@ module gives the sharded runtime that property.  The
 ``ShardedGigascope._run_processes`` with a monitored execution loop:
 
 * **Failure detection** — three signals: the worker process is dead
-  (``is_alive`` false, with a short grace period for a result already in
-  the queue's feeder pipe), the worker is *stalled* (alive but no
+  (``is_alive`` false, with a short grace period for a result still in
+  its result pipe), the worker is *stalled* (alive but no
   ack/checkpoint/result event for ``heartbeat_timeout`` seconds while it
-  has outstanding work), or the result queue delivered an undecodable
+  has outstanding work), or the result pipe delivered an undecodable
   (corrupt) message — the sender of a corrupt message is expected to die
   and is then attributed by the liveness check.
 * **Restart with capped exponential backoff** — each shard may restart
@@ -44,11 +44,14 @@ worker's epoch, and the parent ignores messages from epochs it has
 already declared dead (a killed worker's queued acks must not be
 mistaken for progress of its replacement).
 
-Caveat: terminating a worker mid-``put`` can in principle corrupt a
-queue (multiprocessing's documented limitation).  The supervisor only
-terminates workers that have been silent for ``heartbeat_timeout``,
-which in practice means blocked or sleeping, not mid-write; the corrupt
-message path is handled anyway.
+Each worker incarnation reports on its own result pipe, which the
+parent waits on with :func:`multiprocessing.connection.wait`.  A single
+``multiprocessing.Queue`` shared by all workers is guarded by one
+cross-process write lock: a worker that exits while its feeder thread
+holds that lock leaves it held for good, and every other worker's
+reports then stall behind it.  A private pipe has no shared lock; a
+worker that dies mid-message only tears its own pipe, which the parent
+reads to end-of-file and retires.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ import multiprocessing
 import queue as _queue
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as _wait
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
@@ -124,6 +128,27 @@ def _bump(counter: Dict[int, int], shard: int, by: int = 1) -> None:
     counter[shard] = counter.get(shard, 0) + by
 
 
+class _ResultPipe:
+    """A worker's end of its private result pipe.
+
+    Offers the ``put``/``close``/``join_thread`` subset of the queue API
+    the worker loop and fault injection use.  Sends are synchronous, so
+    nothing is left buffered in a feeder thread when the worker exits.
+    """
+
+    def __init__(self, conn: Any) -> None:
+        self._conn = conn
+
+    def put(self, message: Any) -> None:
+        self._conn.send(message)
+
+    def close(self) -> None:
+        self._conn.close()
+
+    def join_thread(self) -> None:
+        pass
+
+
 class _WorkerDied(Exception):
     """Internal: the worker targeted by a recovery put is gone."""
 
@@ -165,7 +190,9 @@ class ShardSupervisor:
                 "supervised execution needs the 'fork' start method (POSIX)"
             ) from exc
         shards = owner.shards
-        self._out_queue = self._context.Queue()
+        #: open result pipes (parent ends) -> shard; a dead incarnation's
+        #: pipe stays here until it is read to end-of-file
+        self._readers: Dict[Any, int] = {}
         self._in_queues: List[Any] = [None] * shards
         self._workers: List[Any] = [None] * shards
         self._epoch = [0] * shards
@@ -243,6 +270,9 @@ class ShardSupervisor:
             for worker in self._workers:
                 if worker is not None:
                     worker.join(timeout=5.0)
+            for reader in self._readers:
+                reader.close()
+            self._readers.clear()
 
     def _apply_resume_state(self) -> None:
         """Restore shards from a prior process's committed checkpoints."""
@@ -390,6 +420,7 @@ class ShardSupervisor:
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
         in_queue = self._context.Queue(maxsize=self.owner.queue_depth)
+        reader, writer = self._context.Pipe(duplex=False)
         worker = self._context.Process(
             target=_supervised_worker,
             args=(
@@ -398,7 +429,7 @@ class ShardSupervisor:
                 self.owner._instances[shard],
                 list(self.owner._order),
                 in_queue,
-                self._out_queue,
+                _ResultPipe(writer),
                 self.fault_plan,
             ),
             daemon=True,
@@ -406,6 +437,10 @@ class ShardSupervisor:
         self._in_queues[shard] = in_queue
         self._workers[shard] = worker
         worker.start()
+        # Only the worker may hold the write end: once it exits, the
+        # parent's read reaches end-of-file instead of blocking.
+        writer.close()
+        self._readers[reader] = shard
         self._last_event[shard] = time.monotonic()
 
     def _recover(self, shard: int, reason: str) -> None:
@@ -632,18 +667,26 @@ class ShardSupervisor:
 
     def _pump_once(self, timeout: float) -> bool:
         """Process at most one worker event; True if anything arrived."""
-        try:
-            if timeout <= 0:
-                message = self._out_queue.get_nowait()
-            else:
-                message = self._out_queue.get(timeout=timeout)
-        except _queue.Empty:
+        if not self._readers:
+            time.sleep(max(timeout, 0.0))
             return False
+        ready = _wait(list(self._readers), max(timeout, 0.0))
+        if not ready:
+            return False
+        reader = ready[0]
+        try:
+            message = reader.recv()
+        except (EOFError, OSError):
+            # The worker exited (perhaps mid-message): retire its pipe;
+            # the liveness check attributes the exit.
+            del self._readers[reader]
+            reader.close()
+            return True
         except Exception as exc:
-            # A message that failed to unpickle: the queue survives, the
+            # A message that failed to unpickle: the pipe survives, the
             # broken sender dies and the liveness check attributes it.
             self.report.failures.append(
-                f"result queue delivered an undecodable message: {exc!r}"
+                f"result pipe delivered an undecodable message: {exc!r}"
             )
             return True
         kind, shard, epoch = message[0], message[1], message[2]

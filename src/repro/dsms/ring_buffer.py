@@ -16,7 +16,7 @@ counter increments — the stream analogue of packet loss under overload.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import StreamError
 
@@ -41,12 +41,20 @@ class RingBuffer:
         self._slots[self._head % self.capacity] = record
         self._head += 1
 
-    def extend(self, records: Iterator[Any]) -> int:
-        """Push every record from an iterator; return how many were pushed."""
-        count = 0
-        for record in records:
-            self.push(record)
-            count += 1
+    def extend(self, records: Iterable[Any]) -> int:
+        """Push every record, in order; return how many were pushed.
+
+        Equivalent to one :meth:`push` per record, written as at most two
+        slice assignments: only the last ``capacity`` records survive.
+        """
+        batch = records if isinstance(records, list) else list(records)
+        count = len(batch)
+        keep = batch[-self.capacity:] if count > self.capacity else batch
+        start = (self._head + count - len(keep)) % self.capacity
+        first = min(len(keep), self.capacity - start)
+        self._slots[start : start + first] = keep[:first]
+        self._slots[: len(keep) - first] = keep[first:]
+        self._head += count
         return count
 
     # -- consumer side -----------------------------------------------------
@@ -75,7 +83,14 @@ class RingBuffer:
         end = self._head
         if max_records is not None:
             end = min(end, cursor + max_records)
-        out = [self._slots[i % self.capacity] for i in range(cursor, end)]
+        # At most ``capacity`` records: one slice, or two when they wrap.
+        start, stop = cursor % self.capacity, end % self.capacity
+        if end == cursor:
+            out: List[Any] = []
+        elif start < stop:
+            out = self._slots[start:stop]
+        else:
+            out = self._slots[start:] + self._slots[:stop]
         self._cursors[subscriber_id] = end
         return out
 

@@ -21,8 +21,9 @@ of Figure 1) and also forwarded to any downstream queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.aggregates import default_aggregate_registry
@@ -40,6 +41,29 @@ from repro.streams.schema import StreamSchema, coerce_record
 from repro.streams.sources import QuarantineStream
 from repro.core.superaggregates import default_superaggregate_registry
 from repro.errors import SchemaError
+
+
+#: Counters the per-batch and per-record paths bump, bound once per
+#: label value by :meth:`Gigascope._series`: name -> (label, help).
+_HOT_SERIES: Dict[str, Tuple[str, str]] = {
+    "stream_records_total": (
+        "stream", "records offered to the stream (before admission)"
+    ),
+    "stream_ingested_total": ("stream", "records admitted into the ring buffer"),
+    "stream_shed_total": ("stream", "records refused at admission under overload"),
+    "stream_quarantined_total": (
+        "stream", "records dead-lettered at admission (malformed input)"
+    ),
+    "stream_quota_shed_total": (
+        "stream", "records refused at the serving edge by a tenant quota"
+    ),
+    "serve_poison_skipped_total": (
+        "stream",
+        "records skipped at the serving edge because the query's circuit"
+        " breaker is open",
+    ),
+    "query_forwarded_total": ("query", "tuples pushed to downstream queries"),
+}
 
 
 @dataclass
@@ -151,6 +175,8 @@ class Gigascope:
         self._quota_shed: Dict[str, int] = {}
         #: records skipped at the serving edge by an open circuit breaker
         self._poison_skipped: Dict[str, int] = {}
+        #: hot-path metric series, bound on first use (see _series)
+        self._bound: Dict[Tuple[str, ...], Any] = {}
 
     # -- registration -----------------------------------------------------------
 
@@ -396,14 +422,12 @@ class Gigascope:
         """
         self.start()
         total = 0
-        batch: List[Record] = []
+        pending = iter(records)
         try:
-            for record in records:
-                batch.append(record)
-                if len(batch) >= batch_size:
-                    total += self.feed(batch)
-                    batch = []
-            if batch:
+            while True:
+                batch = list(islice(pending, max(batch_size, 1)))
+                if not batch:
+                    break
                 total += self.feed(batch)
         except BaseException:
             self._session = None  # abandon the run without flushing
@@ -475,16 +499,8 @@ class Gigascope:
             return
         self._quota_shed[stream] = self._quota_shed.get(stream, 0) + count
         self.cost.charge(stream, "quota_shed", count)
-        self.metrics.counter(
-            "stream_records_total",
-            help="records offered to the stream (before admission)",
-            stream=stream,
-        ).inc(count)
-        self.metrics.counter(
-            "stream_quota_shed_total",
-            help="records refused at the serving edge by a tenant quota",
-            stream=stream,
-        ).inc(count)
+        self._series("stream_records_total", stream).inc(count)
+        self._series("stream_quota_shed_total", stream).inc(count)
         if self.trace.enabled:
             self.trace.emit("quota_shed", stream=stream, count=count)
         self._notify_shed(stream, count)
@@ -506,20 +522,40 @@ class Gigascope:
             self._poison_skipped.get(stream, 0) + count
         )
         self.cost.charge(stream, "poison_skip", count)
-        self.metrics.counter(
-            "stream_records_total",
-            help="records offered to the stream (before admission)",
-            stream=stream,
-        ).inc(count)
-        self.metrics.counter(
-            "serve_poison_skipped_total",
-            help="records skipped at the serving edge because the query's"
-            " circuit breaker is open",
-            stream=stream,
-        ).inc(count)
+        self._series("stream_records_total", stream).inc(count)
+        self._series("serve_poison_skipped_total", stream).inc(count)
         if self.trace.enabled:
             self.trace.emit("poison_skip", stream=stream, count=count)
         self._notify_shed(stream, count)
+
+    def _series(self, name: str, label: str) -> Any:
+        """The ``name`` series for one stream or query, bound on first use.
+
+        The hot paths bump these per batch or per forwarded record; the
+        registry lookup (label sorting and hashing) happens once per
+        series.  Binding lazily keeps the exported series set exactly
+        what the unbound lookups produced.  Registry restores mutate
+        series in place, so bound references stay valid.
+        """
+        series = self._bound.get((name, label))
+        if series is None:
+            label_name, help_text = _HOT_SERIES[name]
+            series = self._bound[(name, label)] = self.metrics.counter(
+                name, help=help_text, **{label_name: label}
+            )
+        return series
+
+    def _operator_seconds(self, query: str, phase: str) -> Any:
+        key = ("operator_seconds", query, phase)
+        series = self._bound.get(key)
+        if series is None:
+            series = self._bound[key] = self.metrics.histogram(
+                "operator_seconds",
+                help="wall time per operator call",
+                query=query,
+                phase=phase,
+            )
+        return series
 
     def _subscribe_low_level(self) -> Dict[str, int]:
         subscribers: Dict[str, int] = {}
@@ -538,24 +574,15 @@ class Gigascope:
             if record is not None:
                 by_stream.setdefault(stream, []).append(record)
         for stream, count in offered.items():
-            self.metrics.counter(
-                "stream_records_total",
-                help="records offered to the stream (before admission)",
-                stream=stream,
-            ).inc(count)
+            self._series("stream_records_total", stream).inc(count)
         for stream, stream_records in by_stream.items():
             ring = self._rings[stream]
             if self.shed_threshold is not None:
                 stream_records = self._admit(
                     stream, stream_records, ring, subscribers
                 )
-            self.metrics.counter(
-                "stream_ingested_total",
-                help="records admitted into the ring buffer",
-                stream=stream,
-            ).inc(len(stream_records))
-            for record in stream_records:
-                ring.push(record)
+            self._series("stream_ingested_total", stream).inc(len(stream_records))
+            ring.extend(stream_records)
         for name, sid in subscribers.items():
             handle = self._queries[name]
             pending = self._rings[handle.source].poll(sid)
@@ -565,9 +592,7 @@ class Gigascope:
                 from repro.dsms.vectorized import RecordBatch
 
                 schema = self.registries.schemas[handle.source]
-                self._dispatch_batch(
-                    handle, RecordBatch.from_records(schema, list(pending))
-                )
+                self._dispatch_batch(handle, RecordBatch.from_records(schema, pending))
             else:
                 for record in pending:
                     self._dispatch(handle, record)
@@ -619,11 +644,7 @@ class Gigascope:
         """Dead-letter one refused payload: count, charge, notify, retain."""
         self._quarantined[stream] = self._quarantined.get(stream, 0) + 1
         self.cost.charge(stream, "tuple_quarantined", 1)
-        self.metrics.counter(
-            "stream_quarantined_total",
-            help="records dead-lettered at admission (malformed input)",
-            stream=stream,
-        ).inc()
+        self._series("stream_quarantined_total", stream).inc()
         if self.trace.enabled:
             self.trace.emit("quarantine", stream=stream, reason=reason)
         self.quarantine.put(reason, payload, source=stream)
@@ -659,11 +680,7 @@ class Gigascope:
         shed = len(records) - allowed
         self._shed[stream] = self._shed.get(stream, 0) + shed
         self.cost.charge(stream, "tuple_shed", shed)
-        self.metrics.counter(
-            "stream_shed_total",
-            help="records refused at admission under overload",
-            stream=stream,
-        ).inc(shed)
+        self._series("stream_shed_total", stream).inc(shed)
         if self.trace.enabled:
             self.trace.emit(
                 "shed", stream=stream, count=shed, backlog=backlog
@@ -718,12 +735,9 @@ class Gigascope:
         else:
             outputs = operator.process(record)
         if self.profile:
-            self.metrics.histogram(
-                "operator_seconds",
-                help="wall time per operator call",
-                query=handle.name,
-                phase="process",
-            ).observe(perf_counter() - started)
+            self._operator_seconds(handle.name, "process").observe(
+                perf_counter() - started
+            )
         if outputs:
             self._propagate(handle, outputs)
 
@@ -734,12 +748,9 @@ class Gigascope:
             started = perf_counter()
         outputs = operator.process_batch(batch)
         if self.profile:
-            self.metrics.histogram(
-                "operator_seconds",
-                help="wall time per operator call",
-                query=handle.name,
-                phase="process",
-            ).observe(perf_counter() - started)
+            self._operator_seconds(handle.name, "process").observe(
+                perf_counter() - started
+            )
         if outputs is not None and len(outputs):
             self._propagate_batch(handle, outputs)
 
@@ -757,11 +768,7 @@ class Gigascope:
         count = len(outputs)
         handle.forwarded += count
         self.cost.charge(handle.name, "tuple_copy", count)
-        self.metrics.counter(
-            "query_forwarded_total",
-            help="tuples pushed to downstream queries",
-            query=handle.name,
-        ).inc(count)
+        self._series("query_forwarded_total", handle.name).inc(count)
         for child_name in downstream:
             child = self._queries[child_name]
             if hasattr(child.operator, "process_batch"):
@@ -781,11 +788,7 @@ class Gigascope:
         # Forwarding to another query is the copy the paper charges for.
         handle.forwarded += len(outputs)
         self.cost.charge(handle.name, "tuple_copy", len(outputs))
-        self.metrics.counter(
-            "query_forwarded_total",
-            help="tuples pushed to downstream queries",
-            query=handle.name,
-        ).inc(len(outputs))
+        self._series("query_forwarded_total", handle.name).inc(len(outputs))
         for child_name in downstream:
             child = self._queries[child_name]
             for record in outputs:
@@ -798,12 +801,9 @@ class Gigascope:
                 started = perf_counter()
             outputs = handle.operator.flush()
             if self.profile:
-                self.metrics.histogram(
-                    "operator_seconds",
-                    help="wall time per operator call",
-                    query=name,
-                    phase="flush",
-                ).observe(perf_counter() - started)
+                self._operator_seconds(name, "flush").observe(
+                    perf_counter() - started
+                )
             if outputs:
                 self._propagate(handle, outputs)
             # A flushed node is exhausted: release any downstream merge

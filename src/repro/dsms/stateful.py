@@ -227,6 +227,26 @@ class StatefulLibrary:
             states[name] = state
         return states
 
+    def bind(self, fn_name: str) -> Callable[..., Any]:
+        """Resolve an SFUN once: the returned ``call(states, *args)``
+        runs it against a supergroup's state set (the lowered-expression
+        path binds every SFUN call site this way at operator build)."""
+        state_name = self.state_of(fn_name)
+        fn = self.callable_of(fn_name)
+
+        def call(states: Dict[str, StatefulState], *args: Any) -> Any:
+            try:
+                state = states[state_name]
+            except KeyError:
+                raise StatefulFunctionError(
+                    f"state {state_name!r} for SFUN {fn_name!r} was not"
+                    " allocated; this usually means the call appears outside"
+                    " a sampling query"
+                ) from None
+            return fn(state, *args)
+
+        return call
+
     def invoke(
         self,
         fn_name: str,
@@ -234,12 +254,4 @@ class StatefulLibrary:
         args: Sequence[Any],
     ) -> Any:
         """Call an SFUN against the supergroup's state set."""
-        state_name = self.state_of(fn_name)
-        try:
-            state = states[state_name]
-        except KeyError:
-            raise StatefulFunctionError(
-                f"state {state_name!r} for SFUN {fn_name!r} was not allocated;"
-                " this usually means the call appears outside a sampling query"
-            ) from None
-        return self.callable_of(fn_name)(state, *args)
+        return self.bind(fn_name)(states, *args)

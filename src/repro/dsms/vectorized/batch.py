@@ -17,6 +17,7 @@ model charges ~16k cycles for.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -147,7 +148,7 @@ class RecordBatch:
         columns stay lazy by filtering the record backing as well.
         """
         if self._records is not None:
-            picked = [r for r, keep in zip(self._records, mask) if keep]
+            picked = list(compress(self._records, mask.tolist()))
             columns = {name: col[mask] for name, col in self._columns.items()}
             return RecordBatch(self.schema, columns=columns, records=picked,
                               length=len(picked))

@@ -1,23 +1,27 @@
 """Compile analyzed expression trees into whole-batch closures.
 
-The tuple path interprets the AST once per record; here each analyzed
-WHERE/SELECT/HAVING/GROUP-BY tree is compiled *once per query* into a
-closure that evaluates an entire :class:`RecordBatch` with numpy ufuncs.
+The numpy backend of the expression lowering: where the tuple path
+lowers each analyzed tree once into a closure over one record
+(``repro.dsms.expr.lower``), here each analyzed WHERE/SELECT/HAVING/
+GROUP-BY tree is compiled *once per query* into a closure that evaluates
+an entire :class:`RecordBatch` with numpy ufuncs.
 The closure takes an :class:`Env` — column resolver, batch length, cost
 hook, and (for HAVING/SELECT at window close) an aggregate-slot resolver
 — and returns either a column array or a Python scalar (constant
 subtrees stay scalars and broadcast for free).
 
-Semantics mirror ``repro.dsms.expr`` exactly where the data allows it:
+Both backends share one table of operator semantics
+(``repro.dsms.expr.BINARY``, ``negate``, ``operand_error``):
 
 * two integer operands floor-divide (``time/60`` buckets), while bool or
   float operands take true division, and zero divisors raise the same
   span-carrying :class:`ExecutionError`;
-* mixed-type arithmetic/ordering comparisons raise span-carrying
-  ``ExecutionError`` instead of a raw ``TypeError``;
+* mixed-type operands raise span-carrying ``ExecutionError`` instead of
+  a raw ``TypeError``;
 * ``=`` / ``<>`` never type-error (Python equality semantics);
-* object-dtype columns (heterogeneous or overflowed data) fall back to
-  an element-wise loop that applies the scalar rules verbatim.
+* object-dtype columns (heterogeneous or overflowed data) and
+  non-numeric scalar operands fall back to an element-wise loop that
+  runs the tuple path's own closure (``repro.dsms.expr.binary``).
 
 Two divergences are inherent to batch evaluation and documented in
 DESIGN.md §11: AND/OR do not short-circuit (both sides are evaluated
@@ -38,6 +42,9 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.dsms.expr import (
+    BINARY,
+    PAIR,
+    ZERO_DIVISOR,
     AggregateCall,
     BinaryOp,
     ColumnRef,
@@ -49,6 +56,9 @@ from repro.dsms.expr import (
     StatefulCall,
     SuperAggregateCall,
     UnaryOp,
+    binary,
+    negate,
+    operand_error,
 )
 from repro.dsms.functions import FunctionRegistry
 
@@ -96,12 +106,17 @@ def make_env(batch: Any, charge: Callable[[str, int], None] = _no_charge) -> Env
 # ---------------------------------------------------------------------------
 
 
-def _is_object_array(value: Any) -> bool:
-    return isinstance(value, np.ndarray) and value.dtype == object
+def _needs_elementwise(value: Any) -> bool:
+    """Operands numpy cannot apply the scalar table to: object-dtype
+    arrays, and scalars that are not numbers (``3 * 'ab'`` repeats a
+    string on the tuple path; a ufunc would refuse it)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype == object
+    return not isinstance(value, (int, float, np.number, np.bool_))
 
 
 def _is_integer_operand(value: Any) -> bool:
-    """Batch analogue of expr._is_integer: int-kind, bool excluded."""
+    """Batch analogue of expr.is_integer: int-kind, bool excluded."""
     if isinstance(value, np.ndarray):
         return value.dtype.kind in "iu"
     return isinstance(value, (int, np.integer)) and not isinstance(
@@ -125,12 +140,8 @@ def _type_name(value: Any) -> str:
     return type(value).__name__
 
 
-def _type_error(op: str, left: Any, right: Any, expr: BinaryOp) -> ExecutionError:
-    return ExecutionError(
-        f"cannot evaluate {expr}: unsupported operand types for {op!r}"
-        f" ({_type_name(left)} and {_type_name(right)})",
-        span=expr.span,
-    )
+def _type_error(expr: Any, *operands: Any) -> ExecutionError:
+    return operand_error(expr, *operands, type_name=_type_name)
 
 
 def _tighten(arr: Any) -> Any:
@@ -178,57 +189,16 @@ _ARITH_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "%": np.mod}
 _ORDER_UFUNCS = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
 
 
-def _scalar_apply(op: str, a: Any, b: Any, expr: BinaryOp) -> Any:
-    """The tuple path's per-pair semantics, for object-dtype fallback."""
-    if op == "/":
-        if (
-            isinstance(a, int) and not isinstance(a, bool)
-            and isinstance(b, int) and not isinstance(b, bool)
-        ):
-            if b == 0:
-                raise ExecutionError("integer division by zero", span=expr.span)
-            return a // b
-        if b == 0:
-            raise ExecutionError("division by zero", span=expr.span)
-        try:
-            return a / b
-        except TypeError:
-            raise _type_error(op, a, b, expr) from None
-    if op == "=":
-        return a == b
-    if op in ("<>", "!="):
-        return a != b
-    try:
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "%":
-            return a % b
-        if op == "<":
-            return a < b
-        if op == "<=":
-            return a <= b
-        if op == ">":
-            return a > b
-        if op == ">=":
-            return a >= b
-    except TypeError:
-        raise _type_error(op, a, b, expr) from None
-    raise ExecutionError(f"unknown binary operator {op!r}")
-
-
 def _elementwise(expr: BinaryOp, left: Any, right: Any) -> Any:
-    """Element-wise scalar-rule application for object-dtype operands."""
+    """The shared scalar table applied per element, over Python values
+    (numeric array elements are unboxed, as the tuple path sees them)."""
     n = len(left) if isinstance(left, np.ndarray) else len(right)
-    lseq = left if isinstance(left, np.ndarray) else [left] * n
-    rseq = right if isinstance(right, np.ndarray) else [right] * n
+    lseq = left.tolist() if isinstance(left, np.ndarray) else [left] * n
+    rseq = right.tolist() if isinstance(right, np.ndarray) else [right] * n
+    apply = binary(expr, *PAIR)
     out = np.empty(n, dtype=object)
-    op = expr.op
     for i in range(n):
-        out[i] = _scalar_apply(op, lseq[i], rseq[i], expr)
+        out[i] = apply((lseq[i], rseq[i]))
     return _tighten(out)
 
 
@@ -243,21 +213,21 @@ def _check_divisor(right: Any, expr: BinaryOp, message: str) -> None:
 def apply_binary(expr: BinaryOp, left: Any, right: Any) -> Any:
     op = expr.op
     if not isinstance(left, np.ndarray) and not isinstance(right, np.ndarray):
-        return _scalar_apply(op, left, right, expr)
-    if _is_object_array(left) or _is_object_array(right):
+        return binary(expr, *PAIR)((left, right))
+    if _needs_elementwise(left) or _needs_elementwise(right):
         return _elementwise(expr, left, right)
     if op == "/":
         if _is_integer_operand(left) and _is_integer_operand(right):
             _check_divisor(right, expr, "integer division by zero")
             return np.floor_divide(left, right)
-        _check_divisor(right, expr, "division by zero")
+        _check_divisor(right, expr, ZERO_DIVISOR["/"])
         try:
             return np.true_divide(left, right)
         except TypeError:
-            raise _type_error(op, left, right, expr) from None
+            raise _type_error(expr, left, right) from None
     if op == "%":
         # numpy would emit 0 with a warning; the tuple path raises.
-        _check_divisor(right, expr, "modulo by zero")
+        _check_divisor(right, expr, ZERO_DIVISOR["%"])
     if op in _ARITH_UFUNCS:
         # Python bools are ints under arithmetic (True + True == 2);
         # numpy's bool ufuncs are logical (True + True == True).
@@ -268,25 +238,25 @@ def apply_binary(expr: BinaryOp, left: Any, right: Any) -> Any:
         try:
             return _ARITH_UFUNCS[op](left, right)
         except TypeError:
-            raise _type_error(op, left, right, expr) from None
+            raise _type_error(expr, left, right) from None
     if op == "=":
-        return _equality(left, right, negate=False)
+        return _equality(left, right, negated=False)
     if op in ("<>", "!="):
-        return _equality(left, right, negate=True)
+        return _equality(left, right, negated=True)
     if op in _ORDER_UFUNCS:
         try:
             return _ORDER_UFUNCS[op](left, right)
         except TypeError:
-            raise _type_error(op, left, right, expr) from None
+            raise _type_error(expr, left, right) from None
     raise ExecutionError(f"unknown binary operator {op!r}")
 
 
-def _equality(left: Any, right: Any, negate: bool) -> Any:
+def _equality(left: Any, right: Any, negated: bool) -> Any:
     # Python equality on mismatched types is False, never an error.
     try:
-        result = np.not_equal(left, right) if negate else np.equal(left, right)
+        result = np.not_equal(left, right) if negated else np.equal(left, right)
     except TypeError:
-        result = np.bool_(negate)
+        result = np.bool_(negated)
     if not isinstance(result, np.ndarray):
         # Incomparable operand classes collapse to a scalar; broadcast.
         n = len(left) if isinstance(left, np.ndarray) else len(right)
@@ -366,10 +336,17 @@ class BatchCompiler:
 
             def run_neg(env: Env) -> Any:
                 value = operand(env)
-                if isinstance(value, np.ndarray) and value.dtype == np.bool_:
+                if not isinstance(value, np.ndarray):
+                    return negate(value, expr)
+                if value.dtype == np.bool_:
                     # numpy refuses unary minus on booleans; Python's
                     # -True is -1, so promote first.
                     return -value.astype(np.int64)
+                if value.dtype == object:
+                    out = np.empty(len(value), dtype=object)
+                    for i, item in enumerate(value):
+                        out[i] = negate(item, expr)
+                    return _tighten(out)
                 return -value
 
             return run_neg
@@ -402,6 +379,8 @@ class BatchCompiler:
                 )
 
             return run_or
+        if op not in BINARY:
+            raise UnsupportedExpression(f"unknown binary operator {op!r}")
 
         def run(env: Env) -> Any:
             return apply_binary(expr, left(env), right(env))

@@ -146,3 +146,36 @@ class TestPropertyBased:
             assert all(any(v == p for p in it) for v in polled)
 
         check()
+
+    def test_batch_extend_and_bounded_poll_match_per_record_model(self):
+        """extend() and poll() move slices; a record-at-a-time model over
+        the whole push history must see the same records and drops."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 20)),
+                        max_size=40),
+               st.integers(1, 9))
+        @settings(max_examples=200, deadline=None)
+        def check(ops, capacity):
+            ring = RingBuffer(capacity)
+            sid = ring.subscribe()
+            history, cursor, drops = [], 0, 0
+            for kind, n in ops:
+                if kind < 2:
+                    batch = list(range(len(history), len(history) + n))
+                    assert ring.extend(iter(batch) if kind else batch) == n
+                    history.extend(batch)
+                    continue
+                limit = None if kind == 2 else n
+                oldest = max(0, len(history) - capacity)
+                if cursor < oldest:
+                    drops += oldest - cursor
+                    cursor = oldest
+                end = len(history) if limit is None else min(len(history), cursor + limit)
+                assert ring.poll(sid, limit) == history[cursor:end]
+                cursor = end
+                assert ring.drops(sid) == drops
+                assert ring.backlog(sid) == len(history) - cursor
+
+        check()
