@@ -109,7 +109,6 @@ _FEEDS = {
 def _standard_instance(
     relax_factor: float,
     shards: int = 0,
-    shard_processes: bool = False,
     supervise: bool = False,
     max_restarts: int = 2,
     shed_threshold: Optional[int] = None,
@@ -126,10 +125,10 @@ def _standard_instance(
     hash-partitioned across that many shards instead of serially.
     ``vectorize`` enables the columnar batch engine (serial instances
     only; eligible operators fall back per plan, see DESIGN.md §11).
-    ``supervise`` runs shard workers under crash supervision with up to
-    ``max_restarts`` restarts each; ``shed_threshold`` enables overload
-    shedding (ring-backlog admission control, and — supervised — input
-    queue shedding).  ``trace_sink`` / ``profile`` attach the
+    ``supervise`` forks one worker process per shard under crash
+    supervision with up to ``max_restarts`` restarts each (0 fails
+    fast); ``shed_threshold`` enables overload shedding (ring-backlog
+    admission control, and — supervised — input queue shedding).  ``trace_sink`` / ``profile`` attach the
     observability layer (docs/OBSERVABILITY.md).  ``quarantine`` /
     ``validate_admission`` route malformed records to a dead-letter
     stream at admission instead of raising (docs/RESILIENCE.md).
@@ -137,7 +136,6 @@ def _standard_instance(
     if shards > 0:
         gs = ShardedGigascope(
             shards=shards,
-            processes=shard_processes,
             supervise=supervise,
             supervision=SupervisionPolicy(max_restarts=max_restarts)
             if supervise
@@ -244,13 +242,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if args.shards <= 0:
             print("--rebalance needs --shards N", file=sys.stderr)
             return 2
-        if args.shard_processes and not args.supervise:
-            print(
-                "--rebalance with --shard-processes needs --supervise"
-                " (migration runs at the supervisor's checkpoint barrier)",
-                file=sys.stderr,
-            )
-            return 2
         rebalance = RebalancePolicy(
             check_interval=args.rebalance_interval,
             imbalance_threshold=args.rebalance_threshold,
@@ -260,7 +251,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     gs = _standard_instance(
         args.relax_factor,
         shards=args.shards,
-        shard_processes=args.shard_processes,
         supervise=args.supervise,
         max_restarts=args.max_restarts,
         shed_threshold=args.shed_threshold,
@@ -276,7 +266,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         if args.shards > 0:
             gs = ShardedGigascope(
                 shards=args.shards,
-                processes=args.shard_processes,
                 supervise=args.supervise,
                 supervision=SupervisionPolicy(max_restarts=args.max_restarts)
                 if args.supervise
@@ -749,12 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
         " back automatically)",
     )
     query.add_argument(
-        "--shard-processes",
-        action="store_true",
-        help="with --shards, fork one worker process per shard instead of"
-        " interleaving the shards in-process",
-    )
-    query.add_argument(
         "--rebalance",
         action="store_true",
         help="with --shards, watch per-shard load and migrate hot key"
@@ -795,9 +778,10 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--supervise",
         action="store_true",
-        help="with --shards, run shard workers under crash supervision:"
-        " dead/stalled workers restart and recover from checkpoints plus"
-        " batch replay (implies worker processes)",
+        help="with --shards, fork one worker process per shard under"
+        " crash supervision: dead/stalled workers restart and recover"
+        " from checkpoints plus batch replay (--max-restarts 0 fails"
+        " fast instead)",
     )
     query.add_argument(
         "--max-restarts",
@@ -890,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="deployment configuration for the SA3xx execution-safety"
         " and SA4xx serving rules, e.g. 'shards=4,durable,supervise'"
-        " (flags: durable, supervise, processes, rebalance, serve;"
+        " (flags: durable, supervise, rebalance, serve;"
         " keyed: shards=N, shed=N)",
     )
     lint_cmd.add_argument(

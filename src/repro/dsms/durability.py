@@ -41,12 +41,11 @@ import os
 import pickle
 import struct
 import zlib
-from itertools import islice
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ExecutionError, StreamError, TraceCorruptError
 from repro.dsms.runtime import Gigascope
-from repro.streams.records import Record
+from repro.streams.records import Record, batches, skip_prefix
 
 _MAGIC = b"RPJRNL01"
 _FRAME = struct.Struct("<II")  # payload length, crc32(payload)
@@ -149,17 +148,6 @@ class ResultJournal:
         return entries[-1] if entries else None
 
 
-def _batches(records: Iterable[Record], size: int) -> Iterator[List[Record]]:
-    batch: List[Record] = []
-    for record in records:
-        batch.append(record)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
 class DurableRunner:
     """Drive an instance through a stream with journalled commits.
 
@@ -202,8 +190,8 @@ class DurableRunner:
         if not self._serial and not getattr(instance, "supervise", False):
             raise ExecutionError(
                 "DurableRunner needs a serial Gigascope or a supervised"
-                " ShardedGigascope; unsupervised process shards cannot be"
-                " checkpointed mid-run"
+                " ShardedGigascope (supervise=True): sharded journal commits"
+                " are built on the shard supervisor's checkpoint protocol"
             )
         if getattr(instance, "shed_threshold", None) is not None:
             raise ExecutionError(
@@ -316,17 +304,6 @@ class DurableRunner:
         if self.on_commit is not None:
             self.on_commit(consumed, kind)
 
-    def _skip(self, records: Iterable[Record], n: int) -> Iterator[Record]:
-        iterator = iter(records)
-        skipped = sum(1 for _ in islice(iterator, n))
-        if skipped < n:
-            raise ExecutionError(
-                f"resume input is shorter than the committed prefix"
-                f" ({skipped} < {n} records): the input must be the same"
-                " replayable stream the original run consumed"
-            )
-        return iterator
-
     def _run(
         self,
         journal: ResultJournal,
@@ -358,13 +335,13 @@ class DurableRunner:
         gs = self.instance
         if snapshot is not None:
             gs.restore(snapshot["snapshot"])
-            records = self._skip(records, consumed)
+            records = skip_prefix(records, consumed)
         gs.start()
         watermark = self._results_watermark()
         batch_no = 0
         since_commit = 0
         try:
-            for batch in _batches(records, self.batch_size):
+            for batch in batches(records, self.batch_size):
                 batch_no += 1
                 if self.on_batch is not None:
                     self.on_batch(batch_no, consumed)
@@ -415,7 +392,7 @@ class DurableRunner:
                     " rebalances; resume with the same configuration as"
                     " the original run"
                 )
-            records = self._skip(records, consumed)
+            records = skip_prefix(records, consumed)
         start = consumed
         rounds = 0
         rebalancing = getattr(sh, "_rebalancer", None) is not None

@@ -2,8 +2,9 @@
 
 A production DSMS keeps answering queries when a worker dies; this
 module gives the sharded runtime that property.  The
-:class:`ShardSupervisor` replaces the fire-and-forget worker handling of
-``ShardedGigascope._run_processes`` with a monitored execution loop:
+:class:`ShardSupervisor` runs one forked worker per shard inside a
+monitored execution loop (with ``max_restarts=0`` it is the fail-fast
+process mode: the first failure fails the run, naming the shard):
 
 * **Failure detection** — three signals: the worker process is dead
   (``is_alive`` false, with a short grace period for a result still in
@@ -64,7 +65,7 @@ from multiprocessing.connection import wait as _wait
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
-from repro.streams.records import Record
+from repro.streams.records import Record, batches
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dsms.sharded import ShardedGigascope
@@ -248,16 +249,8 @@ class ShardSupervisor:
             self._spawn(shard)
         self._apply_resume_state()
         total = 0
-        batch: List[Record] = []
         try:
-            for record in records:
-                batch.append(record)
-                if len(batch) >= batch_size:
-                    total += self._ship_round(batch, route)
-                    batch = []
-                    if on_round is not None:
-                        on_round(self, total)
-            if batch:
+            for batch in batches(records, batch_size):
                 total += self._ship_round(batch, route)
                 if on_round is not None:
                     on_round(self, total)

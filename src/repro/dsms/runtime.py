@@ -21,7 +21,6 @@ of Figure 1) and also forwarded to any downstream queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from time import perf_counter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -36,7 +35,7 @@ from repro.dsms.ring_buffer import RingBuffer
 from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
-from repro.streams.records import Record
+from repro.streams.records import Record, batches
 from repro.streams.schema import StreamSchema, coerce_record
 from repro.streams.sources import QuarantineStream
 from repro.core.superaggregates import default_superaggregate_registry
@@ -422,12 +421,8 @@ class Gigascope:
         """
         self.start()
         total = 0
-        pending = iter(records)
         try:
-            while True:
-                batch = list(islice(pending, max(batch_size, 1)))
-                if not batch:
-                    break
+            for batch in batches(records, batch_size):
                 total += self.feed(batch)
         except BaseException:
             self._session = None  # abandon the run without flushing
@@ -503,7 +498,7 @@ class Gigascope:
         self._series("stream_quota_shed_total", stream).inc(count)
         if self.trace.enabled:
             self.trace.emit("quota_shed", stream=stream, count=count)
-        self._notify_shed(stream, count)
+        self._notify_downstream(stream, "note_shed", count)
 
     def poison_shed(self, stream: str, count: int) -> None:
         """Account ``count`` records skipped at the serving edge because
@@ -526,7 +521,7 @@ class Gigascope:
         self._series("serve_poison_skipped_total", stream).inc(count)
         if self.trace.enabled:
             self.trace.emit("poison_skip", stream=stream, count=count)
-        self._notify_shed(stream, count)
+        self._notify_downstream(stream, "note_shed", count)
 
     def _series(self, name: str, label: str) -> Any:
         """The ``name`` series for one stream or query, bound on first use.
@@ -648,7 +643,7 @@ class Gigascope:
         if self.trace.enabled:
             self.trace.emit("quarantine", stream=stream, reason=reason)
         self.quarantine.put(reason, payload, source=stream)
-        self._notify_quarantined(stream, 1)
+        self._notify_downstream(stream, "note_quarantined", 1)
 
     def _admit(
         self,
@@ -685,13 +680,14 @@ class Gigascope:
             self.trace.emit(
                 "shed", stream=stream, count=shed, backlog=backlog
             )
-        self._notify_shed(stream, shed)
+        self._notify_downstream(stream, "note_shed", shed)
         return records[:allowed]
 
-    def _notify_shed(self, stream: str, count: int) -> None:
+    def _notify_downstream(self, stream: str, hook: str, count: int) -> None:
         """Tell every query downstream of ``stream`` (transitively) that
-        ``count`` of its input tuples were shed, so sampling operators can
-        expose the loss in their per-window stats."""
+        ``count`` of its input tuples were lost, by calling the operator's
+        ``hook`` (``note_shed`` or ``note_quarantined``) where it has one,
+        so sampling operators can expose the loss in their window stats."""
         seen = set()
         frontier = [stream]
         while frontier:
@@ -700,26 +696,7 @@ class Gigascope:
                 if child in seen:
                     continue
                 seen.add(child)
-                operator = self._queries[child].operator
-                note = getattr(operator, "note_shed", None)
-                if note is not None:
-                    note(count)
-                frontier.append(child)
-
-    def _notify_quarantined(self, stream: str, count: int) -> None:
-        """Tell every query downstream of ``stream`` (transitively) that
-        ``count`` of its input tuples were dead-lettered at admission, so
-        sampling operators can expose the loss in their window stats."""
-        seen = set()
-        frontier = [stream]
-        while frontier:
-            node = frontier.pop()
-            for child in self._downstream.get(node, ()):
-                if child in seen:
-                    continue
-                seen.add(child)
-                operator = self._queries[child].operator
-                note = getattr(operator, "note_quarantined", None)
+                note = getattr(self._queries[child].operator, hook, None)
                 if note is not None:
                     note(count)
                 frontier.append(child)

@@ -22,11 +22,14 @@ Architecture::
   by the planner (:func:`repro.dsms.parser.planner.partition_info`) from
   every query reading the stream; records route to shard
   ``stable_hash(record[column]) % shards``.
-* **shards** — full replicas of the query DAG.  ``processes=False``
-  (default) drives them in-process, batch-interleaved and fully
-  deterministic; ``processes=True`` forks one worker per shard and
-  exchanges pickled record batches over queues (POSIX ``fork`` start
-  method, so SFUN closures need no pickling).
+* **shards** — full replicas of the query DAG.  By default they run
+  in-process, batch-interleaved and fully deterministic (the reference
+  mode); ``supervise=True`` forks one worker per shard under a
+  :class:`~repro.dsms.resilience.ShardSupervisor` and exchanges pickled
+  record batches over queues (POSIX ``fork`` start method, so SFUN
+  closures need no pickling).  ``SupervisionPolicy(max_restarts=0)`` is
+  the fail-fast variant: the first worker failure fails the run, naming
+  the shard and the reason.
 * **MERGE** — one :class:`MergeOperator` per registered query recombines
   the shard outputs on the query's ordered output attribute; a shard
   that finishes releases its watermark via ``end_source``.
@@ -44,18 +47,15 @@ feeds — the paper's operating regime — never hit this.
 
 Cost accounting: every shard charges the shared cost model (in-process)
 or its own forked copy whose balances the parent absorbs afterwards
-(processes), both under the plain query name — so ``cpu_percent`` and
+(supervised), both under the plain query name — so ``cpu_percent`` and
 the Fig 5/6 benchmarks read one aggregate account per query, exactly as
 with the serial runtime.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
-import queue as _queue
-import time
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -77,7 +77,7 @@ from repro.dsms.runtime import Gigascope, QueryHandle
 from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
-from repro.streams.records import Record
+from repro.streams.records import Record, batches
 from repro.streams.schema import StreamSchema, coerce_record
 from repro.streams.sources import QuarantineStream
 from repro.errors import SchemaError
@@ -121,7 +121,7 @@ class ShardedQueryHandle:
     keep_results: bool = True
     #: merged (order-recombined) output across all shards
     results: List[Record] = field(default_factory=list)
-    #: the per-shard handles (note: in ``processes`` mode the parent's
+    #: the per-shard handles (note: in supervised mode the parent's
     #: copies stay empty — shard results live in the worker processes)
     shard_handles: List[QueryHandle] = field(default_factory=list)
 
@@ -188,12 +188,10 @@ class ShardedGigascope:
         self,
         shards: int = 2,
         *,
-        processes: bool = False,
         cost_model: Optional[CostModel] = None,
         ring_capacity: int = 65536,
         strict: bool = False,
         queue_depth: int = 8,
-        stall_timeout: float = 60.0,
         supervise: bool = False,
         supervision: Optional[SupervisionPolicy] = None,
         shed_threshold: Optional[int] = None,
@@ -204,20 +202,20 @@ class ShardedGigascope:
         validate_admission: bool = False,
         rebalance: Any = None,
     ) -> None:
-        """Beyond the PR-2 parameters:
-
-        ``queue_depth`` bounds each worker's input queue (batches), so a
-        wedged worker backpressures the splitter instead of buffering
-        unboundedly.  ``stall_timeout`` caps how long an *unsupervised*
-        process run waits for worker results before failing.
-        ``supervise=True`` runs workers under a :class:`ShardSupervisor`
-        (implies process mode): crashed or stalled shards restart and
-        recover from the batch journal / operator checkpoints, per
-        ``supervision`` (a :class:`SupervisionPolicy`, default policy if
-        None).  ``shed_threshold`` enables graceful degradation: each
-        shard's Gigascope sheds admission beyond that ring backlog, and
-        the supervisor sheds batches when a shard's input queue stays at
-        that depth.  ``fault_plan`` (a
+        """Two execution modes: in-process (the default, deterministic
+        reference) and ``supervise=True``, which forks one worker per
+        shard under a :class:`ShardSupervisor`: crashed or stalled
+        shards restart and recover from the batch journal / operator
+        checkpoints, per ``supervision`` (a :class:`SupervisionPolicy`,
+        default policy if None; passing one implies ``supervise``).
+        ``SupervisionPolicy(max_restarts=0)`` is the fail-fast variant,
+        and its ``heartbeat_timeout`` bounds how long a stalled worker
+        is waited for.  ``queue_depth`` bounds each worker's input queue
+        (batches), so a wedged worker backpressures the splitter instead
+        of buffering unboundedly.  ``shed_threshold`` enables graceful
+        degradation: each shard's Gigascope sheds admission beyond that
+        ring backlog, and the supervisor sheds batches when a shard's
+        input queue stays at that depth.  ``fault_plan`` (a
         :class:`repro.testing.faults.FaultPlan`) injects deterministic
         worker failures for tests; ignored by the in-process mode.
 
@@ -226,11 +224,11 @@ class ShardedGigascope:
         (and, when tracing is on, its own sink); after a run the parent
         absorbs every shard's series stamped with a ``shard`` label, so
         ``metrics.total(name, query=...)`` aggregates across shards while
-        the per-shard series stay distinguishable.  In process modes the
+        the per-shard series stay distinguishable.  In supervised mode the
         snapshots cross the fork boundary with the results.
 
         ``validate_admission`` validates every record at the SPLIT edge
-        — in the parent, uniformly across all three execution modes —
+        — in the parent, uniformly across both execution modes —
         and routes uncoercible records to ``quarantine`` (a
         :class:`repro.streams.sources.QuarantineStream`; a private
         bounded one by default) instead of shipping them to a worker
@@ -245,9 +243,7 @@ class ShardedGigascope:
         key ranges, migrate operator state between shards via the
         checkpoint/restore snapshots, scale the shard pool, and — under
         ``policy.curate`` — downsample an unmigratable hot key's traffic
-        with shed-style cost accounting.  Works with the in-process and
-        supervised modes; unsupervised process shards have no control
-        channel to migrate over.
+        with shed-style cost accounting.
         """
         if shards < 1:
             raise PlanningError("shards must be >= 1")
@@ -255,17 +251,9 @@ class ShardedGigascope:
             raise PlanningError("queue_depth must be >= 1")
         self.shards = shards
         self.supervise = supervise or supervision is not None
-        self.processes = processes or self.supervise
-        if rebalance and processes and not self.supervise:
-            raise PlanningError(
-                "rebalance needs the in-process or supervised mode:"
-                " unsupervised process shards have no control channel"
-                " for state migration (use supervise=True)"
-            )
         self.cost = cost_model or NULL_COST_MODEL
         self.strict = strict
         self.queue_depth = queue_depth
-        self.stall_timeout = stall_timeout
         self.supervision = supervision
         self.shed_threshold = shed_threshold
         self.fault_plan = fault_plan
@@ -627,14 +615,12 @@ class ShardedGigascope:
                 records, batch_size, route, sinks,
                 on_round=on_round, resume_state=resume_state,
             )
-        if self.processes:
-            return self._run_processes(records, batch_size, route, sinks)
         return self._run_inline(records, batch_size, route, sinks)
 
     def _validate_edge(self, records: Iterable[Record]) -> Iterable[Record]:
         """Validate/coerce records at the SPLIT edge; dead-letter failures.
 
-        Runs in the parent so all three execution modes get identical
+        Runs in the parent so both execution modes get identical
         admission behavior, and a malformed record is refused *before*
         it can crash a worker mid-query.
         """
@@ -730,31 +716,20 @@ class ShardedGigascope:
         for instance in self._instances:
             instance.start()
         total = 0
-        batch: List[Record] = []
-
-        def feed_round(batch: List[Record]) -> int:
-            buckets = self._split(batch, route)
-            for shard, bucket in enumerate(buckets):
-                if bucket:
-                    self._instances[shard].feed(bucket)
-            if sinks is not None:
-                for sink in sinks:
-                    for shard in range(self.shards):
-                        sink.drain(shard, sink.handle.shard_handles[shard])
-            if self._rebalancer is not None:
-                # Round boundary: rings are drained, so shard checkpoints
-                # cover all fed input — a consistent migration point.
-                self._rebalance_inline()
-            return len(batch)
-
         try:
-            for record in records:
-                batch.append(record)
-                if len(batch) >= batch_size:
-                    total += feed_round(batch)
-                    batch = []
-            if batch:
-                total += feed_round(batch)
+            for batch in batches(records, batch_size):
+                for shard, bucket in enumerate(self._split(batch, route)):
+                    if bucket:
+                        self._instances[shard].feed(bucket)
+                if sinks is not None:
+                    for sink in sinks:
+                        for shard in range(self.shards):
+                            sink.drain(shard, sink.handle.shard_handles[shard])
+                if self._rebalancer is not None:
+                    # Round boundary: rings are drained, so shard checkpoints
+                    # cover all fed input — a consistent migration point.
+                    self._rebalance_inline()
+                total += len(batch)
             for instance in self._instances:
                 instance.finish()
             if sinks is None:
@@ -965,165 +940,6 @@ class ShardedGigascope:
         self._ensure_pool(snapshot["pool"])
         self._rebalancer.restore(snapshot["rebalancer"])
 
-    def _run_processes(
-        self,
-        records: Iterable[Record],
-        batch_size: int,
-        route: Dict[str, int],
-        sinks: List[_MergeSink],
-    ) -> int:
-        """Fork one worker per shard; exchange pickled record batches.
-
-        Unsupervised: a worker failure fails the whole run — but it fails
-        *promptly and attributably* (naming the dead shard) rather than
-        deadlocking on a queue the worker will never serve again.
-        """
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-            raise ExecutionError(
-                "processes=True needs the 'fork' start method (POSIX);"
-                " use the in-process mode instead"
-            ) from exc
-        in_queues = [context.Queue(maxsize=self.queue_depth) for _ in range(self.shards)]
-        out_queue = context.Queue()
-        workers = [
-            context.Process(
-                target=_shard_worker,
-                args=(shard, self._instances[shard], list(self._order),
-                      in_queues[shard], out_queue, self.fault_plan),
-                daemon=True,
-            )
-            for shard in range(self.shards)
-        ]
-        for worker in workers:
-            worker.start()
-
-        total = 0
-        batch: List[Record] = []
-        try:
-            try:
-                for record in records:
-                    batch.append(record)
-                    if len(batch) >= batch_size:
-                        total += self._ship(batch, route, in_queues, workers)
-                        batch = []
-                if batch:
-                    total += self._ship(batch, route, in_queues, workers)
-            finally:
-                for queue in in_queues:
-                    try:
-                        # Timed: a dead worker's full queue never drains,
-                        # and the collection loop reports it either way.
-                        queue.put(None, timeout=1.0)
-                    except _queue.Full:
-                        pass
-
-            shard_results, reports = self._collect_results(workers, out_queue)
-        finally:
-            for worker in workers:
-                if worker.is_alive():
-                    worker.terminate()
-            for worker in workers:
-                worker.join(timeout=5.0)
-
-        self._last_report = _merge_reports(reports)
-        for sink in sinks:
-            for shard in range(self.shards):
-                sink.feed(shard, shard_results[shard].get(sink.handle.name, []))
-                sink.end_source(shard)
-        return total
-
-    def _collect_results(
-        self, workers: List, out_queue
-    ) -> Tuple[Dict[int, Dict[str, List[Record]]], List[dict]]:
-        """Gather one result per shard with liveness checks.
-
-        A bare ``out_queue.get()`` here deadlocks forever if a worker
-        died (nothing will ever arrive); instead we poll with a timeout,
-        watch worker liveness — with a short grace period, because a
-        dying worker's result may still be in the queue's feeder pipe —
-        and fail with the dead shard's identity and exit code.
-        """
-        failures: List[str] = []
-        shard_results: Dict[int, Dict[str, List[Record]]] = {}
-        reports: List[dict] = []
-        pending = set(range(self.shards))
-        dead_since: Dict[int, float] = {}
-        deadline = time.monotonic() + self.stall_timeout
-        while pending:
-            try:
-                message = out_queue.get(timeout=0.1)
-            except _queue.Empty:
-                message = None
-            except Exception as exc:
-                # Undecodable (corrupt) message: the queue survives; the
-                # broken sender dies and the liveness check below names it.
-                failures.append(
-                    f"result queue delivered an undecodable message: {exc!r}"
-                )
-                message = None
-            if message is not None:
-                shard, results, accounts, error, report, metrics_snap, trace_events = message
-                if shard in pending:
-                    pending.discard(shard)
-                    dead_since.pop(shard, None)
-                    if error is not None:
-                        failures.append(f"shard {shard}: {error}")
-                    else:
-                        shard_results[shard] = results
-                        self.cost.absorb(accounts)
-                        reports.append(report)
-                        self._absorb_shard_obs(shard, metrics_snap, trace_events)
-                continue
-            now = time.monotonic()
-            for shard in sorted(pending):
-                worker = workers[shard]
-                if worker.is_alive():
-                    continue
-                since = dead_since.setdefault(shard, now)
-                if now - since >= 1.0:
-                    pending.discard(shard)
-                    failures.append(
-                        f"shard {shard} worker (pid {worker.pid}) exited with"
-                        f" code {worker.exitcode} without reporting a result"
-                    )
-            if pending and now > deadline:
-                stuck = ", ".join(str(shard) for shard in sorted(pending))
-                raise ExecutionError(
-                    f"sharded run stalled: no result from shard(s) {stuck}"
-                    f" within stall_timeout={self.stall_timeout}s"
-                )
-        if failures:
-            raise ExecutionError("sharded run failed: " + "; ".join(failures))
-        return shard_results, reports
-
-    def _ship(
-        self,
-        batch: List[Record],
-        route: Dict[str, int],
-        in_queues: List,
-        workers: Optional[List] = None,
-    ) -> int:
-        for shard, bucket in enumerate(self._split(batch, route)):
-            if not bucket:
-                continue
-            while True:
-                try:
-                    # Bounded put: never block forever on a queue whose
-                    # consumer is gone.
-                    in_queues[shard].put(bucket, timeout=0.25)
-                    break
-                except _queue.Full:
-                    if workers is not None and not workers[shard].is_alive():
-                        worker = workers[shard]
-                        raise ExecutionError(
-                            f"shard {shard} worker (pid {worker.pid}) exited"
-                            f" with code {worker.exitcode} while its input"
-                            " queue was full"
-                        ) from None
-        return len(batch)
-
     # -- reporting ------------------------------------------------------------------
 
     def cpu_percent(self, name: str, stream_seconds: float) -> float:
@@ -1133,7 +949,7 @@ class ShardedGigascope:
     def run_report(self) -> Dict[str, Dict[str, Dict[str, int]]]:
         """Overload counters of the most recent run, summed over shards.
 
-        Same shape as :meth:`Gigascope.run_report`; in process modes the
+        Same shape as :meth:`Gigascope.run_report`; in supervised mode the
         per-shard reports crossed the queue with the results, in the
         in-process mode they are read straight off the shard instances.
         Supervisor-level shedding is reported separately via
@@ -1162,7 +978,7 @@ class ShardedGigascope:
         """Render the sharding layout plus one shard's query DAG."""
         lines = [
             f"ShardedGigascope(shards={self.shards},"
-            f" processes={self.processes})"
+            f" supervise={self.supervise})"
         ]
         try:
             self._resolve_partitions()
@@ -1201,50 +1017,6 @@ def _merge_reports(reports: Sequence[dict]) -> Dict[str, Dict[str, Dict[str, int
                 for key, value in counters.items():
                     slot[key] = slot.get(key, 0) + value
     return merged
-
-
-def _shard_worker(
-    shard: int,
-    instance: Gigascope,
-    query_names: List[str],
-    in_queue,
-    out_queue,
-    fault_plan: Any = None,
-) -> None:
-    """Worker-process loop: drain batches, run the shard DAG, ship results.
-
-    Runs in a forked child, so ``instance`` (including closures inside
-    SFUN libraries) is inherited by memory copy rather than pickled; only
-    record batches, result records and cost balances cross the process
-    boundary, and those pickle cleanly.
-    """
-    try:
-        if instance.cost.enabled:
-            # The fork copied the parent's balances; count only this
-            # worker's own charges so the parent can absorb the delta.
-            instance.cost.reset()
-        instance.start()
-        batch_no = 0
-        while True:
-            batch = in_queue.get()
-            if batch is None:
-                break
-            batch_no += 1
-            if fault_plan is not None:
-                fault_plan.fire_batch(shard, 0, batch_no, out_queue)
-            instance.feed(batch)
-        if fault_plan is not None and fault_plan.drops_result(shard, 0):
-            os._exit(0)
-        instance.finish()
-        results = {name: instance.query(name).results for name in query_names}
-        accounts = instance.cost.accounts() if instance.cost.enabled else {}
-        trace_events = list(instance.trace.events) if instance.trace.enabled else []
-        out_queue.put(
-            (shard, results, accounts, None, instance.run_report(),
-             instance.metrics.checkpoint(), trace_events)
-        )
-    except BaseException as exc:  # pragma: no cover - exercised via parent
-        out_queue.put((shard, {}, {}, repr(exc), {}, None, []))
 
 
 def _supervised_worker(

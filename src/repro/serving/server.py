@@ -51,7 +51,7 @@ import signal
 import threading
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.parser import compile_query
@@ -73,7 +73,7 @@ from repro.serving.sharing import (
     replay_feed,
     share_signature,
 )
-from repro.streams.records import Record
+from repro.streams.records import Record, batches, skip_prefix
 
 #: ``repro serve`` exit status when the serve was terminated early by a
 #: graceful drain (SIGTERM / SIGINT / ``POST /drain``) rather than by
@@ -154,15 +154,6 @@ class ServedQuery:
         }
 
 
-def _batches(records: Iterable[Record], size: int) -> Iterator[List[Record]]:
-    iterator = iter(records)
-    while True:
-        batch = list(islice(iterator, size))
-        if not batch:
-            return
-        yield batch
-
-
 class StandingQueryEngine:
     """Multiplexes standing queries over shared feeds, deterministically.
 
@@ -228,13 +219,15 @@ class StandingQueryEngine:
         Compilation errors (unknown stream, lint refusals under a strict
         factory...) propagate — a rejected query never joins the set.
         """
-        if self._closed:
-            raise ExecutionError("the serving engine is closed")
+        # Draining first: a drained engine is also closed once its final
+        # commit lands, and must keep answering "draining" (HTTP 503).
         if self.draining:
             raise ServingUnavailableError(
                 "the serving engine is draining; no new registrations"
                 " are admitted"
             )
+        if self._closed:
+            raise ExecutionError("the serving engine is closed")
         if qid is None:
             self._next_id += 1
             qid = f"sq{self._next_id}"
@@ -368,12 +361,12 @@ class StandingQueryEngine:
         the prefilter re-runs for the same batch, so followers never
         observe a gap.
         """
-        if self._closed:
-            raise ExecutionError("the serving engine is closed")
         if self.draining:
             raise ServingUnavailableError(
                 "the serving engine is draining; no new batches are admitted"
             )
+        if self._closed:
+            raise ExecutionError("the serving engine is closed")
         batch = list(batch)
         if not batch:
             return 0
@@ -819,18 +812,6 @@ def drive(
     return engine.consumed
 
 
-def _skip(records: Iterable[Record], n: int) -> Iterator[Record]:
-    iterator = iter(records)
-    skipped = sum(1 for _ in islice(iterator, n))
-    if skipped < n:
-        raise ExecutionError(
-            f"resume input is shorter than the committed prefix"
-            f" ({skipped} < {n} records): the input must be the same"
-            " replayable stream the original serve consumed"
-        )
-    return iterator
-
-
 def resume_serving(
     instance_factory: Callable[[], Gigascope],
     journal_path: str,
@@ -889,7 +870,7 @@ def resume_serving(
         return engine
     drive(
         engine,
-        _skip(records, last_commit["consumed"]),
+        skip_prefix(records, last_commit["consumed"]),
         schedule=pending,
         batch_size=batch_size,
         commit_interval=commit_interval,
@@ -986,7 +967,7 @@ class QueryServer:
         :meth:`request_drain`, SIGTERM/SIGINT, or ``POST /drain``.
         """
         since_commit = 0
-        for batch in _batches(records, self.batch_size):
+        for batch in batches(records, self.batch_size):
             if self._drain_event.is_set():
                 self.drained = True
                 break

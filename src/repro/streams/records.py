@@ -12,9 +12,10 @@ which keeps record creation cheap — the DSMS creates one per packet.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Mapping, Sequence, Tuple
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
-from repro.errors import SchemaError
+from repro.errors import ExecutionError, SchemaError
 from repro.streams.schema import StreamSchema
 
 
@@ -153,3 +154,28 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.schema.names, self.values))
         return f"Record<{self.schema.name}>({fields})"
+
+
+def batches(records: Iterable[Record], size: int) -> Iterator[List[Record]]:
+    """Cut a record stream into lists of ``size`` records (at least one;
+    the last list may be shorter), reading the stream lazily."""
+    iterator = iter(records)
+    while True:
+        batch = list(islice(iterator, max(size, 1)))
+        if not batch:
+            return
+        yield batch
+
+
+def skip_prefix(records: Iterable[Record], n: int) -> Iterator[Record]:
+    """Consume the first ``n`` records of a resumed run's input and
+    return the rest; refuses an input shorter than the committed prefix."""
+    iterator = iter(records)
+    skipped = sum(1 for _ in islice(iterator, n))
+    if skipped < n:
+        raise ExecutionError(
+            f"resume input is shorter than the committed prefix"
+            f" ({skipped} < {n} records): the input must be the same"
+            " replayable stream the original run consumed"
+        )
+    return iterator

@@ -65,10 +65,9 @@ def make_runtime(shards=0, supervise=False, shed_threshold=None, rebalance=False
 
 class TestParseTarget:
     def test_full_spec(self):
-        target = parse_target("shards=4,processes,supervise,durable,shed=100")
+        target = parse_target("shards=4,supervise,durable,shed=100")
         assert target == ExecTarget(
             shards=4,
-            processes=True,
             supervise=True,
             durable=True,
             shed_threshold=100,

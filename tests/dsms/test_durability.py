@@ -36,7 +36,6 @@ def build(shards=0, supervise=False, shed_threshold=None):
     if shards:
         gs = ShardedGigascope(
             shards=shards,
-            processes=supervise,
             supervise=supervise,
             supervision=SupervisionPolicy(max_restarts=2) if supervise else None,
             shed_threshold=shed_threshold,
@@ -249,8 +248,8 @@ class TestRefusals:
         with pytest.raises(ExecutionError):
             DurableRunner(gs, str(tmp_path / "j.bin"))
 
-    def test_unsupervised_process_shards_are_refused(self, tmp_path):
-        sh = ShardedGigascope(shards=2, processes=True)
+    def test_unsupervised_shards_are_refused(self, tmp_path):
+        sh = ShardedGigascope(shards=2)
         sh.register_stream(TCP_SCHEMA)
-        with pytest.raises(ExecutionError):
+        with pytest.raises(ExecutionError, match="supervise=True"):
             DurableRunner(sh, str(tmp_path / "j.bin"))

@@ -228,10 +228,6 @@ class TestCurationAccounting:
 
 
 class TestRefusals:
-    def test_unsupervised_processes_refused(self):
-        with pytest.raises(PlanningError, match="supervise"):
-            ShardedGigascope(shards=2, processes=True, rebalance=policy())
-
     def test_merge_nodes_refused(self):
         sh = ShardedGigascope(shards=2, rebalance=policy())
         sh.register_stream(TCP_SCHEMA)

@@ -237,31 +237,40 @@ class TestPermanentFailure:
         assert sh.last_supervision.restarts == {1: 2}
 
 
-class TestUnsupervisedFailFast:
-    """Satellites 1 + 2: without supervision a dead worker fails the run
-    promptly with the shard's identity — no deadlock on get() or put()."""
+class TestFailFast:
+    """With ``max_restarts=0`` the first worker failure fails the run
+    promptly, naming the shard and the reason — no deadlock on get() or
+    put(), and no restart."""
+
+    def fail_fast(self, plan):
+        sh = ShardedGigascope(
+            shards=2,
+            supervision=SupervisionPolicy(max_restarts=0),
+            fault_plan=plan,
+        )
+        sh.register_stream(TCP_SCHEMA)
+        sh.add_query(AGG_TEXT, name="q")
+        return sh
 
     def test_dead_worker_is_named_not_hung(self):
-        plan = FaultPlan([Fault(shard=0, action="kill", at_batch=1)])
-        sh = ShardedGigascope(
-            shards=2, processes=True, fault_plan=plan, stall_timeout=20.0
-        )
-        sh.register_stream(TCP_SCHEMA)
-        sh.add_query(AGG_TEXT, name="q")
-        with pytest.raises(ExecutionError, match="shard 0"):
-            sh.run(trace(), batch_size=BATCH)
-
-    def test_dropped_result_is_named_not_hung(self):
-        plan = FaultPlan([Fault(shard=1, action="drop_result")])
-        sh = ShardedGigascope(
-            shards=2, processes=True, fault_plan=plan, stall_timeout=20.0
-        )
-        sh.register_stream(TCP_SCHEMA)
-        sh.add_query(AGG_TEXT, name="q")
+        sh = self.fail_fast(FaultPlan([Fault(shard=0, action="kill", at_batch=1)]))
         with pytest.raises(
-            ExecutionError, match="shard 1.*without reporting a result"
+            ExecutionError,
+            match=r"shard 0 failed permanently after 0 restart\(s\): worker"
+            r" \(pid \d+\) exited with code",
         ):
             sh.run(trace(), batch_size=BATCH)
+        assert sh.last_supervision.restarts == {}
+
+    def test_dropped_result_is_named_not_hung(self):
+        sh = self.fail_fast(FaultPlan([Fault(shard=1, action="drop_result")]))
+        with pytest.raises(
+            ExecutionError,
+            match=r"shard 1 failed permanently after 0 restart\(s\): worker"
+            r" \(pid \d+\) exited with code 0",
+        ):
+            sh.run(trace(), batch_size=BATCH)
+        assert sh.last_supervision.restarts == {}
 
 
 class TestLoadShedding:

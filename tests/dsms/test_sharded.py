@@ -11,6 +11,7 @@ import pytest
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.cost import CostModel
 from repro.dsms.parser.planner import compile_query, partition_info
+from repro.dsms.resilience import SupervisionPolicy
 from repro.dsms.runtime import Gigascope
 from repro.dsms.sharded import ShardedGigascope, canonical_rows, stable_hash
 from repro.streams.records import Record
@@ -59,8 +60,8 @@ def serial_rows(text, library=None, feed=None):
     return canonical_rows(handle.results)
 
 
-def sharded_rows(text, shards, library=None, processes=False, feed=None):
-    sh = ShardedGigascope(shards=shards, processes=processes)
+def sharded_rows(text, shards, library=None, supervise=False, feed=None):
+    sh = ShardedGigascope(shards=shards, supervise=supervise)
     sh.register_stream(TCP_SCHEMA)
     if library is not None:
         sh.use_stateful_library(library)
@@ -198,16 +199,20 @@ class TestSerialEquivalence:
 
 
 class TestProcessMode:
+    """Forked shard workers: the supervised mode."""
+
     def test_forked_workers_match_serial(self):
         library = subset_sum_library(relax_factor=10.0)
         expected = serial_rows(SS_TEXT, library)
         got = sharded_rows(
-            SS_TEXT, 2, subset_sum_library(relax_factor=10.0), processes=True
+            SS_TEXT, 2, subset_sum_library(relax_factor=10.0), supervise=True
         )
         assert got == expected
 
     def test_worker_failure_surfaces(self):
-        sh = ShardedGigascope(shards=2, processes=True)
+        sh = ShardedGigascope(
+            shards=2, supervision=SupervisionPolicy(max_restarts=0)
+        )
         sh.register_stream(TCP_SCHEMA)
         sh.add_query(AGG_TEXT, name="agg")
         bad = Record(PKT_SCHEMA, (0, 1, 2, 100, 1024, 80, 6))
@@ -217,9 +222,9 @@ class TestProcessMode:
 
 class TestCostAggregation:
     def test_accounts_aggregate_under_query_name(self):
-        def cycles(shards, processes=False):
+        def cycles(shards, supervise=False):
             cm = CostModel()
-            sh = ShardedGigascope(shards=shards, processes=processes, cost_model=cm)
+            sh = ShardedGigascope(shards=shards, supervise=supervise, cost_model=cm)
             sh.register_stream(TCP_SCHEMA)
             sh.add_query(AGG_TEXT, name="agg")
             sh.run(trace(seconds=10))
@@ -233,8 +238,8 @@ class TestCostAggregation:
         reference = serial_cm.cycles("agg")
         assert reference > 0
 
-        for shards, processes in ((2, False), (2, True)):
-            total = cycles(shards, processes)
+        for shards, supervise in ((2, False), (2, True)):
+            total = cycles(shards, supervise)
             # Same work, one account: only per-shard window-flush overhead
             # may differ from serial.
             assert total == pytest.approx(reference, rel=0.05)

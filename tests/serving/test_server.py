@@ -10,6 +10,7 @@ from repro.obs.export import render_prometheus
 from repro.serving.journal import ServingJournal, split_log
 from repro.serving.server import (
     QueryServer,
+    ServingUnavailableError,
     StandingQueryEngine,
     TenantQuota,
     drive,
@@ -67,6 +68,20 @@ class TestRegistry:
         with pytest.raises(ExecutionError, match="closed"):
             engine.register(SELECTION, name="q")
         with pytest.raises(ExecutionError, match="closed"):
+            engine.feed(records[:10])
+
+    def test_drained_engine_stays_unavailable_once_closed(self, records):
+        # A drain closes the engine with its final commit; a registration
+        # arriving after that must still read as "draining" (HTTP 503),
+        # not as a rejected query (HTTP 400).
+        engine = StandingQueryEngine(make_instance)
+        engine.register(SELECTION, name="q")
+        engine.feed(records[:256])
+        engine.drain()
+        assert engine.closed
+        with pytest.raises(ServingUnavailableError):
+            engine.register(SELECTION, name="q")
+        with pytest.raises(ServingUnavailableError):
             engine.feed(records[:10])
 
     def test_retired_query_keeps_its_results(self, records):

@@ -90,7 +90,9 @@ class TestQuery:
 
         serial = rows([])
         assert rows(["--shards", "2"]) == serial
-        assert rows(["--shards", "2", "--shard-processes"]) == serial
+        assert rows(
+            ["--shards", "2", "--supervise", "--max-restarts", "0"]
+        ) == serial
 
     def test_supervised_matches_serial_and_reports(self, trace_file, capsys):
         sql = "SELECT tb, srcIP, sum(len) FROM TCP GROUP BY time/5 as tb, srcIP"
