@@ -44,7 +44,7 @@ import zlib
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ExecutionError, StreamError, TraceCorruptError
-from repro.dsms.runtime import Gigascope
+from repro.dsms.runtime import CHECKPOINT_VERSION, Gigascope
 from repro.streams.records import Record, batches, skip_prefix
 
 _MAGIC = b"RPJRNL01"
@@ -290,7 +290,7 @@ class DurableRunner:
     def _entry(self, kind: str, consumed: int, **state: Any) -> Dict[str, Any]:
         return {
             "journal_version": JOURNAL_VERSION,
-            "checkpoint_version": 2,
+            "checkpoint_version": CHECKPOINT_VERSION,
             "kind": kind,
             "mode": self._mode(),
             "consumed": consumed,

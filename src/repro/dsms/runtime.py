@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.aggregates import default_aggregate_registry
@@ -42,6 +42,48 @@ from repro.core.superaggregates import default_superaggregate_registry
 from repro.errors import SchemaError
 
 
+class Refusal(NamedTuple):
+    """How one kind of refused record is accounted (see :data:`REFUSALS`)."""
+
+    op: str  # cost op charged per refused record
+    series: str  # per-stream counter
+    help: str
+    trace: str  # trace event kind
+    trace_count: bool  # whether the trace event carries ``count``
+    hook: str  # downstream operator hook told of the loss
+    offered: bool  # also counts toward ``stream_records_total``
+
+
+#: Every way a record is refused before it reaches a ring, keyed by the
+#: ``run_report()`` stream key (in report order).  :meth:`Gigascope.refuse`
+#: is the one place these are charged, counted, traced and notified.
+#: Shed records were already counted as offered by ``_run_batch``; the
+#: others are refused before (or instead of) that count.
+REFUSALS: Dict[str, Refusal] = {
+    "shed": Refusal(
+        op="tuple_shed", series="stream_shed_total",
+        help="records refused at admission under overload",
+        trace="shed", trace_count=True, hook="note_shed", offered=False,
+    ),
+    "quarantined": Refusal(
+        op="tuple_quarantined", series="stream_quarantined_total",
+        help="records dead-lettered at admission (malformed input)",
+        trace="quarantine", trace_count=False, hook="note_quarantined",
+        offered=True,
+    ),
+    "quota_shed": Refusal(
+        op="quota_shed", series="stream_quota_shed_total",
+        help="records refused at the serving edge by a tenant quota",
+        trace="quota_shed", trace_count=True, hook="note_shed", offered=True,
+    ),
+    "poison_skipped": Refusal(
+        op="poison_skip", series="serve_poison_skipped_total",
+        help="records skipped at the serving edge because the query's"
+        " circuit breaker is open",
+        trace="poison_skip", trace_count=True, hook="note_shed", offered=True,
+    ),
+}
+
 #: Counters the per-batch and per-record paths bump, bound once per
 #: label value by :meth:`Gigascope._series`: name -> (label, help).
 _HOT_SERIES: Dict[str, Tuple[str, str]] = {
@@ -49,20 +91,22 @@ _HOT_SERIES: Dict[str, Tuple[str, str]] = {
         "stream", "records offered to the stream (before admission)"
     ),
     "stream_ingested_total": ("stream", "records admitted into the ring buffer"),
-    "stream_shed_total": ("stream", "records refused at admission under overload"),
-    "stream_quarantined_total": (
-        "stream", "records dead-lettered at admission (malformed input)"
-    ),
-    "stream_quota_shed_total": (
-        "stream", "records refused at the serving edge by a tenant quota"
-    ),
-    "serve_poison_skipped_total": (
-        "stream",
-        "records skipped at the serving edge because the query's circuit"
-        " breaker is open",
-    ),
     "query_forwarded_total": ("query", "tuples pushed to downstream queries"),
+    **{row.series: ("stream", row.help) for row in REFUSALS.values()},
 }
+
+#: Format of :meth:`Gigascope.checkpoint` snapshots.  v3 dropped the
+#: per-stream refusal count dicts (the registry carries them since v2);
+#: :meth:`Gigascope.restore` still accepts v1/v2 snapshots.
+CHECKPOINT_VERSION = 3
+
+
+def refusal_counts(metrics: MetricsRegistry, stream: str) -> Dict[str, int]:
+    """One stream's refusal totals per :data:`REFUSALS` reason."""
+    return {
+        reason: int(metrics.value(row.series, stream=stream))
+        for reason, row in REFUSALS.items()
+    }
 
 
 @dataclass
@@ -166,14 +210,6 @@ class Gigascope:
         self._session: Optional[Dict[str, int]] = None
         #: subscriber ids of the most recent run (for run_report)
         self._last_subscribers: Dict[str, int] = {}
-        #: records shed at admission, per source stream
-        self._shed: Dict[str, int] = {}
-        #: records dead-lettered at admission, per source stream
-        self._quarantined: Dict[str, int] = {}
-        #: records refused at the serving edge by a tenant quota
-        self._quota_shed: Dict[str, int] = {}
-        #: records skipped at the serving edge by an open circuit breaker
-        self._poison_skipped: Dict[str, int] = {}
         #: hot-path metric series, bound on first use (see _series)
         self._bound: Dict[Tuple[str, ...], Any] = {}
 
@@ -481,47 +517,28 @@ class Gigascope:
         for record in records:
             self._dispatch(handle, record, from_source=from_source)
 
-    def quota_shed(self, stream: str, count: int) -> None:
-        """Account ``count`` records refused at the serving edge because
-        the owning tenant is over its cost quota.
-
-        Mirrors overload shedding (:meth:`_admit`) at the layer above
-        admission: counted per stream, charged ``quota_shed`` cycles,
-        and folded into the conservation identity, which widens to
-        ``records == ingested + shed + quarantined + quota_shed``.
-        """
+    def refuse(
+        self, stream: str, reason: str, count: int, /, **trace_fields: Any
+    ) -> None:
+        """Account ``count`` records of ``stream`` refused for ``reason``
+        (a :data:`REFUSALS` key): charge its cost op, bump its series,
+        trace it with ``trace_fields`` (the leading parameters are
+        positional-only, so quarantine can pass a ``reason`` field), and
+        tell downstream operators, so
+        the loss stays visible in the conservation identity
+        (docs/OBSERVABILITY.md).  The serving edge refuses whole batches
+        here for ``quota_shed`` and ``poison_skipped``."""
         if count <= 0:
             return
-        self._quota_shed[stream] = self._quota_shed.get(stream, 0) + count
-        self.cost.charge(stream, "quota_shed", count)
-        self._series("stream_records_total", stream).inc(count)
-        self._series("stream_quota_shed_total", stream).inc(count)
+        row = REFUSALS[reason]
+        self.cost.charge(stream, row.op, count)
+        if row.offered:
+            self._series("stream_records_total", stream).inc(count)
+        self._series(row.series, stream).inc(count)
         if self.trace.enabled:
-            self.trace.emit("quota_shed", stream=stream, count=count)
-        self._notify_downstream(stream, "note_shed", count)
-
-    def poison_shed(self, stream: str, count: int) -> None:
-        """Account ``count`` records skipped at the serving edge because
-        this instance's standing query is quarantined (its circuit
-        breaker is open after repeated batch failures).
-
-        The third serving-edge refusal, alongside overload shedding and
-        tenant quotas: counted per stream, charged ``poison_skip``
-        cycles, and folded into the conservation identity, which widens
-        to ``records == ingested + shed + quarantined + quota_shed +
-        poison_skipped``.
-        """
-        if count <= 0:
-            return
-        self._poison_skipped[stream] = (
-            self._poison_skipped.get(stream, 0) + count
-        )
-        self.cost.charge(stream, "poison_skip", count)
-        self._series("stream_records_total", stream).inc(count)
-        self._series("serve_poison_skipped_total", stream).inc(count)
-        if self.trace.enabled:
-            self.trace.emit("poison_skip", stream=stream, count=count)
-        self._notify_downstream(stream, "note_shed", count)
+            counted = {"count": count} if row.trace_count else {}
+            self.trace.emit(row.trace, stream=stream, **counted, **trace_fields)
+        self._notify_downstream(stream, row.hook, count)
 
     def _series(self, name: str, label: str) -> Any:
         """The ``name`` series for one stream or query, bound on first use.
@@ -562,15 +579,13 @@ class Gigascope:
 
     def _run_batch(self, batch: List[Record], subscribers: Dict[str, int]) -> int:
         by_stream: Dict[str, List[Record]] = {}
-        offered: Dict[str, int] = {}
         for payload in batch:
             stream, record = self._admit_payload(payload)
-            offered[stream] = offered.get(stream, 0) + 1
             if record is not None:
                 by_stream.setdefault(stream, []).append(record)
-        for stream, count in offered.items():
-            self._series("stream_records_total", stream).inc(count)
         for stream, stream_records in by_stream.items():
+            # Quarantined payloads were counted as offered by refuse().
+            self._series("stream_records_total", stream).inc(len(stream_records))
             ring = self._rings[stream]
             if self.shed_threshold is not None:
                 stream_records = self._admit(
@@ -636,14 +651,9 @@ class Gigascope:
             return stream, None
 
     def _quarantine_one(self, stream: str, reason: str, payload: Any) -> None:
-        """Dead-letter one refused payload: count, charge, notify, retain."""
-        self._quarantined[stream] = self._quarantined.get(stream, 0) + 1
-        self.cost.charge(stream, "tuple_quarantined", 1)
-        self._series("stream_quarantined_total", stream).inc()
-        if self.trace.enabled:
-            self.trace.emit("quarantine", stream=stream, reason=reason)
+        """Dead-letter one refused payload: account it, then retain it."""
+        self.refuse(stream, "quarantined", 1, reason=reason)
         self.quarantine.put(reason, payload, source=stream)
-        self._notify_downstream(stream, "note_quarantined", 1)
 
     def _admit(
         self,
@@ -672,15 +682,7 @@ class Gigascope:
         allowed = max(0, self.shed_threshold - backlog)
         if len(records) <= allowed:
             return records
-        shed = len(records) - allowed
-        self._shed[stream] = self._shed.get(stream, 0) + shed
-        self.cost.charge(stream, "tuple_shed", shed)
-        self._series("stream_shed_total", stream).inc(shed)
-        if self.trace.enabled:
-            self.trace.emit(
-                "shed", stream=stream, count=shed, backlog=backlog
-            )
-        self._notify_downstream(stream, "note_shed", shed)
+        self.refuse(stream, "shed", len(records) - allowed, backlog=backlog)
         return records[:allowed]
 
     def _notify_downstream(self, stream: str, hook: str, count: int) -> None:
@@ -799,7 +801,8 @@ class Gigascope:
 
         Captures every query node: operator state (see
         ``Operator.checkpoint``), retained results, and forwarded-tuple
-        counters — plus shed counters and cost balances.  Ring buffers
+        counters — plus cost balances and the metrics registry (which
+        holds the refusal counters).  Ring buffers
         are deliberately *not* captured: a restored instance starts with
         empty rings, and the supervisor replays the journalled batches
         that postdate the checkpoint to refill the pipeline.
@@ -815,12 +818,8 @@ class Gigascope:
                 "forwarded": handle.forwarded,
             }
         return {
-            "version": 2,
+            "version": CHECKPOINT_VERSION,
             "queries": queries,
-            "shed": dict(self._shed),
-            "quarantined": dict(self._quarantined),
-            "quota_shed": dict(self._quota_shed),
-            "poison_skipped": dict(self._poison_skipped),
             "cost_accounts": self.cost.accounts() if self.cost.enabled else {},
             # v2: metric/trace state rides along so a supervised restart
             # resumes counting exactly where the checkpoint left off.
@@ -848,16 +847,13 @@ class Gigascope:
             handle.operator.restore(entry["operator"])
             handle.results[:] = entry["results"]
             handle.forwarded = entry["forwarded"]
-        self._shed = dict(snapshot["shed"])
-        # Pre-quarantine snapshots lack the key; counters start at zero.
-        self._quarantined = dict(snapshot.get("quarantined", {}))
-        self._quota_shed = dict(snapshot.get("quota_shed", {}))
-        self._poison_skipped = dict(snapshot.get("poison_skipped", {}))
         if restore_cost and self.cost.enabled:
             self.cost.reset()
             self.cost.absorb(snapshot["cost_accounts"])
         # v1 snapshots predate the observability layer; leave counters as
-        # they are (zero on a fresh worker) rather than guessing.
+        # they are (zero on a fresh worker) rather than guessing.  v1/v2
+        # per-stream refusal dicts are ignored: v2's registry carries
+        # the same counts.
         if "metrics" in snapshot:
             self.metrics.restore(snapshot["metrics"])
         if "trace" in snapshot and self.trace.enabled:
@@ -885,20 +881,7 @@ class Gigascope:
             streams[stream] = {
                 "drops": int(self.metrics.value("ring_dropped", stream=stream)),
                 "backlog": int(self.metrics.value("ring_backlog", stream=stream)),
-                "shed": int(
-                    self.metrics.value("stream_shed_total", stream=stream)
-                ),
-                "quarantined": int(
-                    self.metrics.value("stream_quarantined_total", stream=stream)
-                ),
-                "quota_shed": int(
-                    self.metrics.value("stream_quota_shed_total", stream=stream)
-                ),
-                "poison_skipped": int(
-                    self.metrics.value(
-                        "serve_poison_skipped_total", stream=stream
-                    )
-                ),
+                **refusal_counts(self.metrics, stream),
             }
         queries: Dict[str, Dict[str, int]] = {}
         for name in self._order:

@@ -58,7 +58,7 @@ import os
 import pickle
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, PlanningError
 from repro.dsms.cost import CostModel, NULL_COST_MODEL
@@ -73,14 +73,13 @@ from repro.dsms.rebalance import (
     migrate_states,
 )
 from repro.dsms.resilience import ShardSupervisor, SupervisionPolicy, SupervisionReport
-from repro.dsms.runtime import Gigascope, QueryHandle
+from repro.dsms.runtime import Gigascope, QueryHandle, refusal_counts
 from repro.dsms.stateful import StatefulLibrary
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NULL_TRACE, TraceSink
 from repro.streams.records import Record, batches
-from repro.streams.schema import StreamSchema, coerce_record
+from repro.streams.schema import StreamSchema
 from repro.streams.sources import QuarantineStream
-from repro.errors import SchemaError
 
 
 def stable_hash(value: Any) -> int:
@@ -233,8 +232,9 @@ class ShardedGigascope:
         :class:`repro.streams.sources.QuarantineStream`; a private
         bounded one by default) instead of shipping them to a worker
         where the failure would surface as a shard crash.  Quarantined
-        records are counted in the parent registry as
-        ``stream_quarantined_total{stream=...}``.
+        records are accounted as serial admission accounts them — offered,
+        ``stream_quarantined_total{stream=...}``, cost, trace — in the
+        parent registry, and reach :meth:`run_report`'s streams section.
 
         ``rebalance`` enables elastic skew-aware sharding (``True`` for
         the default policy, or a :class:`RebalancePolicy`): routing goes
@@ -609,7 +609,7 @@ class ShardedGigascope:
         self._last_report = None
         self.last_supervision = None
         if self.validate_admission:
-            records = self._validate_edge(records)
+            records = self._admit_edge(records)
         if self.supervise:
             return self._run_supervised(
                 records, batch_size, route, sinks,
@@ -617,44 +617,30 @@ class ShardedGigascope:
             )
         return self._run_inline(records, batch_size, route, sinks)
 
-    def _validate_edge(self, records: Iterable[Record]) -> Iterable[Record]:
+    def _admit_edge(self, records: Iterable[Record]) -> Iterator[Record]:
         """Validate/coerce records at the SPLIT edge; dead-letter failures.
 
         Runs in the parent so both execution modes get identical
         admission behavior, and a malformed record is refused *before*
-        it can crash a worker mid-query.
+        it can crash a worker mid-query.  An edge :class:`Gigascope`
+        hosting just the source streams routes, validates and accounts
+        each refusal exactly as serial admission does, into this
+        instance's registry, cost model, trace and quarantine.
         """
-        schemas = self.registries.schemas
-        single = self._streams[0] if len(self._streams) == 1 else None
+        edge = Gigascope(
+            cost_model=self.cost,
+            ring_capacity=1,
+            metrics=self.metrics,
+            trace=self.trace,
+            quarantine=self.quarantine,
+            validate_admission=True,
+        )
+        for stream in self._streams:
+            edge.register_stream(self.registries.schemas[stream])
         for payload in records:
-            schema = payload.schema if isinstance(payload, Record) else None
-            if schema is None and single is not None:
-                schema = schemas[single]
-            if schema is None or schema.name not in self._nodes:
-                stream = schema.name if schema is not None else "__unroutable__"
-                self._quarantine_edge(
-                    stream,
-                    f"cannot route a {type(payload).__name__} payload to a"
-                    " stream" if schema is None
-                    else f"record for unregistered stream {stream!r}",
-                    payload,
-                )
-                continue
-            try:
-                yield coerce_record(schema, payload)
-            except SchemaError as exc:
-                self._quarantine_edge(schema.name, str(exc), payload)
-
-    def _quarantine_edge(self, stream: str, reason: str, payload: Any) -> None:
-        self.metrics.counter(
-            "stream_quarantined_total",
-            help="records dead-lettered at the split edge (malformed input)",
-            stream=stream,
-        ).inc()
-        self.cost.charge(stream, "tuple_quarantined", 1)
-        if self.trace.enabled:
-            self.trace.emit("quarantine", stream=stream, reason=reason)
-        self.quarantine.put(reason, payload, source=stream)
+            record = edge._admit_payload(payload)[1]
+            if record is not None:
+                yield record
 
     def _split(
         self, batch: Sequence[Record], route: Dict[str, int]
@@ -748,7 +734,7 @@ class ShardedGigascope:
                         sink.end_source(shard)
             # Snapshot the per-shard reports before the registries are
             # zeroed below (run_report reads the registry).
-            self._last_report = _merge_reports(
+            self._last_report = self._merged_report(
                 [instance.run_report() for instance in self._instances]
             )
             for shard, instance in enumerate(self._instances):
@@ -812,7 +798,7 @@ class ShardedGigascope:
             for shard in range(self.shards):
                 sink.feed(shard, shard_results[shard].get(sink.handle.name, []))
                 sink.end_source(shard)
-        self._last_report = _merge_reports(reports)
+        self._last_report = self._merged_report(reports)
         return total
 
     # -- rebalancing --------------------------------------------------------------
@@ -963,7 +949,7 @@ class ShardedGigascope:
         if self._last_report is not None:
             report = self._last_report
         else:
-            report = _merge_reports(
+            report = self._merged_report(
                 [instance.run_report() for instance in self._instances]
             )
         if self._rebalancer is not None:
@@ -973,6 +959,26 @@ class ShardedGigascope:
                 "routing": self._rebalancer.table.to_json(),
             }
         return report
+
+    def _merged_report(
+        self, shard_reports: Sequence[dict]
+    ) -> Dict[str, Dict[str, Dict[str, int]]]:
+        """Sum per-shard :meth:`Gigascope.run_report` dicts counter-wise,
+        plus the refusals the SPLIT edge accounted in the parent registry
+        (its series without a ``shard`` label).  Those live in the parent
+        registry, so like a serial instance's they accumulate across runs
+        (and survive a durable resume)."""
+        edge = {s: refusal_counts(self.metrics, s) for s in self._streams}
+        merged: Dict[str, Dict[str, Dict[str, int]]] = {"streams": {}, "queries": {}}
+        for report in [*shard_reports, {"streams": edge}]:
+            if not report:
+                continue
+            for section in ("streams", "queries"):
+                for name, counters in report.get(section, {}).items():
+                    slot = merged[section].setdefault(name, {})
+                    for key, value in counters.items():
+                        slot[key] = slot.get(key, 0) + value
+        return merged
 
     def explain(self) -> str:
         """Render the sharding layout plus one shard's query DAG."""
@@ -1003,20 +1009,6 @@ class ShardedGigascope:
         lines.append("  per-shard DAG:")
         lines.extend("    " + line for line in self._instances[0].explain().splitlines())
         return "\n".join(lines)
-
-
-def _merge_reports(reports: Sequence[dict]) -> Dict[str, Dict[str, Dict[str, int]]]:
-    """Sum per-shard :meth:`Gigascope.run_report` dicts counter-wise."""
-    merged: Dict[str, Dict[str, Dict[str, int]]] = {"streams": {}, "queries": {}}
-    for report in reports:
-        if not report:
-            continue
-        for section in ("streams", "queries"):
-            for name, counters in report.get(section, {}).items():
-                slot = merged[section].setdefault(name, {})
-                for key, value in counters.items():
-                    slot[key] = slot.get(key, 0) + value
-    return merged
 
 
 def _supervised_worker(

@@ -36,8 +36,9 @@ neither loses nor duplicates events.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Deque, Dict, Iterable, Iterator, Optional
 
 
 @dataclass(frozen=True)
@@ -67,27 +68,25 @@ def _jsonable(value: Any) -> Any:
 class TraceSink:
     """In-memory event recorder with JSONL serialisation.
 
-    ``limit`` bounds memory on long runs: once reached, the oldest
-    events are discarded and ``dropped_events`` counts the loss (the
-    sink degrades the same way the runtime does — visibly).
+    ``limit`` bounds memory on long runs: once reached, each new event
+    discards the oldest (in O(1)) and ``dropped_events`` counts the loss
+    (the sink degrades the same way the runtime does — visibly).
     """
 
     enabled = True
 
     def __init__(self, limit: Optional[int] = None) -> None:
-        self.events: List[TraceEvent] = []
+        self.events: Deque[TraceEvent] = deque(maxlen=limit)
         self.limit = limit
         self.dropped_events = 0
         self._next_seq = 0
 
     def emit(self, kind: str, **fields: Any) -> None:
-        event = TraceEvent(seq=self._next_seq, kind=kind, fields=fields)
+        events = self.events
+        if len(events) == events.maxlen:
+            self.dropped_events += 1
+        events.append(TraceEvent(seq=self._next_seq, kind=kind, fields=fields))
         self._next_seq += 1
-        self.events.append(event)
-        if self.limit is not None and len(self.events) > self.limit:
-            overflow = len(self.events) - self.limit
-            del self.events[:overflow]
-            self.dropped_events += overflow
 
     def __len__(self) -> int:
         return len(self.events)
@@ -112,7 +111,7 @@ class TraceSink:
 
     # -- folding (sharded runtime) ----------------------------------------
 
-    def absorb(self, events: List[TraceEvent], **extra_fields: Any) -> None:
+    def absorb(self, events: Iterable[TraceEvent], **extra_fields: Any) -> None:
         """Append another sink's events, re-sequencing and stamping extra
         fields (``shard=...``) so merged traces stay attributable."""
         for event in events:
@@ -130,10 +129,10 @@ class TraceSink:
         }
 
     def restore(self, snapshot: Dict[str, Any]) -> None:
-        self.events = [
-            TraceEvent(seq=seq, kind=kind, fields=fields)
-            for seq, kind, fields in snapshot["events"]
-        ]
+        self.events = deque(
+            (TraceEvent(seq, kind, fields) for seq, kind, fields in snapshot["events"]),
+            maxlen=self.limit,
+        )
         self._next_seq = snapshot["next_seq"]
         self.dropped_events = snapshot["dropped"]
 
@@ -146,7 +145,7 @@ class NullTraceSink(TraceSink):
     def emit(self, kind: str, **fields: Any) -> None:  # noqa: D102
         return
 
-    def absorb(self, events: List[TraceEvent], **extra_fields: Any) -> None:  # noqa: D102
+    def absorb(self, events: Iterable[TraceEvent], **extra_fields: Any) -> None:  # noqa: D102
         return
 
     def checkpoint(self) -> Dict[str, Any]:  # noqa: D102

@@ -378,12 +378,8 @@ class StandingQueryEngine:
             live = [self._queries[qid] for qid in members]
             fed: List[ServedQuery] = []
             for sq in live:
-                if sq.tenant in shed_tenants:
-                    sq.instance.quota_shed(sq.stream, n)
-                elif sq.breaker.admits():
+                if not self._refused(sq, shed_tenants, n):
                     fed.append(sq)
-                else:
-                    self._poison_skip(sq, n)
             if not fed:
                 continue
             # Leader failover: the lowest-qid member runs the shared
@@ -424,17 +420,14 @@ class StandingQueryEngine:
                 ).inc(replayed)
         for qid in list(self._direct):
             sq = self._queries[qid]
-            if sq.tenant in shed_tenants:
-                sq.instance.quota_shed(sq.stream, n)
-            elif not sq.breaker.admits():
-                self._poison_skip(sq, n)
+            if self._refused(sq, shed_tenants, n):
+                continue
+            try:
+                sq.instance.feed(batch)
+            except Exception as exc:  # fault boundary, not a bug trap
+                self._record_failure(sq, exc, "direct", offset, n)
             else:
-                try:
-                    sq.instance.feed(batch)
-                except Exception as exc:  # fault boundary, not a bug trap
-                    self._record_failure(sq, exc, "direct", offset, n)
-                else:
-                    self._record_success(sq)
+                self._record_success(sq)
         self.metrics.counter(
             "serving_records_total",
             help="records offered to the serving engine",
@@ -464,15 +457,23 @@ class StandingQueryEngine:
 
     # -- fault isolation ---------------------------------------------------
 
-    def _poison_skip(self, sq: ServedQuery, n: int) -> None:
-        """Skip one batch for a quarantined query, fully accounted."""
-        sq.instance.poison_shed(sq.stream, n)
+    def _refused(self, sq: ServedQuery, shed_tenants: set, n: int) -> bool:
+        """Refuse this batch of ``n`` records for ``sq`` if its tenant is
+        over quota or its breaker is open, fully accounted; returns
+        whether it was refused."""
+        if sq.tenant in shed_tenants:
+            sq.instance.refuse(sq.stream, "quota_shed", n)
+            return True
+        if sq.breaker.admits():
+            return False
+        sq.instance.refuse(sq.stream, "poison_skipped", n)
         self.metrics.counter(
             "serving_poison_skipped_total",
             help="records skipped because the query's breaker is open",
             serve_id=sq.qid,
             tenant=sq.tenant,
         ).inc(n)
+        return True
 
     def _record_failure(
         self,

@@ -15,7 +15,7 @@ import pytest
 from repro.errors import ExecutionError
 from repro.dsms.cost import CostModel
 from repro.dsms.resilience import SupervisionPolicy
-from repro.dsms.runtime import Gigascope
+from repro.dsms.runtime import CHECKPOINT_VERSION, Gigascope
 from repro.dsms.sharded import ShardedGigascope, canonical_rows
 from repro.streams.schema import TCP_SCHEMA
 from repro.streams.traces import TraceConfig, research_center_feed
@@ -123,6 +123,38 @@ class TestCheckpointRestore:
         target.start()
         with pytest.raises(ExecutionError, match="does not match"):
             target.restore(snapshot)
+
+    def test_v2_snapshot_with_legacy_count_dicts_restores(self):
+        donor = Gigascope(shed_threshold=200)
+        donor.register_stream(TCP_SCHEMA)
+        donor.use_stateful_library(subset_sum_library(relax_factor=10.0))
+        donor.add_query(SS_TEXT, name="q")
+        donor.run(trace(), batch_size=1000)
+        snapshot = donor.checkpoint()
+        assert snapshot["version"] == CHECKPOINT_VERSION == 3
+        shed = donor.run_report()["streams"]["TCP"]["shed"]
+        assert shed > 0
+        # v2 snapshots also carried per-stream refusal count dicts, which
+        # duplicate the registry's counters.
+        legacy = dict(
+            snapshot, version=2, shed={"TCP": shed}, quarantined={},
+            quota_shed={}, poison_skipped={},
+        )
+
+        def restored(snap):
+            gs = Gigascope(shed_threshold=200)
+            gs.register_stream(TCP_SCHEMA)
+            gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
+            gs.add_query(SS_TEXT, name="q")
+            gs.restore(pickle.loads(pickle.dumps(snap)))
+            return gs
+
+        current, old = restored(snapshot), restored(legacy)
+        assert old.run_report() == current.run_report()
+        assert old.run_report()["streams"]["TCP"]["shed"] == shed
+        assert list(old.metrics.comparable_items()) == list(
+            current.metrics.comparable_items()
+        )
 
     def test_stateless_operator_rejects_nontrivial_snapshot(self):
         gs = self.build(library=False)

@@ -4,6 +4,7 @@ Every tuple a stream offers must be accounted for exactly once at every
 layer (docs/OBSERVABILITY.md lists the identities):
 
 * stream:    records == ingested + shed + quarantined + quota_shed
+             + poison_skipped
 * selection: in == filtered + rows_out
 * sampling:  in == filtered + admitted + late + incomparable
 * groups:    created == rows_out + evicted + having_rejected
@@ -203,7 +204,14 @@ class TestQuotaShedding:
 
 
 class TestQuarantine:
-    def test_offered_equals_ingested_plus_quarantined(self):
+    @pytest.mark.parametrize(
+        "shard_kwargs",
+        [None, {"shards": 2}, {"shards": 2, "supervise": True}],
+        ids=["serial", "shards2", "shards2_supervised"],
+    )
+    def test_offered_equals_ingested_plus_quarantined(self, shard_kwargs):
+        """Serial admission and the sharded SPLIT edge account a
+        quarantined record identically: offered, quarantined, reported."""
         from repro.streams.sources import QuarantineStream
         from repro.testing.faults import FaultySource, SourceFault
 
@@ -212,23 +220,35 @@ class TestQuarantine:
             records, [SourceFault("corrupt", 5), SourceFault("corrupt", 90)]
         ).damaged
         quarantine = QuarantineStream()
-        gs = Gigascope(quarantine=quarantine, validate_admission=True)
+        if shard_kwargs is None:
+            gs = Gigascope(quarantine=quarantine, validate_admission=True)
+            text = SS_TEXT.replace(" SUPERGROUP BY tb, srcIP", "")
+        else:
+            gs = ShardedGigascope(
+                quarantine=quarantine, validate_admission=True, **shard_kwargs
+            )
+            text = SS_TEXT
         gs.register_stream(TCP_SCHEMA)
         gs.use_stateful_library(subset_sum_library(relax_factor=10.0))
-        gs.add_query(SS_TEXT.replace(" SUPERGROUP BY tb, srcIP", ""), name="q")
+        gs.add_query(text, name="q")
         gs.run(iter(damaged))
         m = gs.metrics
         quarantined = m.total("stream_quarantined_total")
         assert quarantined == 2
         assert quarantine.total == 2
+        assert m.total("stream_records_total") == len(damaged)
         assert m.total("stream_records_total") == (
             m.total("stream_ingested_total")
             + m.total("stream_shed_total")
             + quarantined
         )
-        # The operator-level mirror: quarantined tuples appear in the
-        # query's overload accounting without ever entering the window.
-        assert val(gs, "operator_quarantined_tuples_total", query="q") == 2
+        assert gs.run_report()["streams"]["TCP"]["quarantined"] == 2
+        if shard_kwargs is None:
+            # The operator-level mirror: quarantined tuples appear in the
+            # query's overload accounting without ever entering the
+            # window.  The sharded edge has no operator to notify.
+            assert val(gs, "operator_quarantined_tuples_total", query="q") == 2
+            assert gs.run_report()["queries"]["q"]["quarantined_tuples"] == 2
 
 
 class TestSerialVsSharded:

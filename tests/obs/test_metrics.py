@@ -215,6 +215,20 @@ class TestTraceSink:
         assert sink.dropped_events == 3
         assert sink.events[-1].fields["window"] == [4]
 
+    def test_limit_keeps_newest_across_checkpoint(self):
+        sink = TraceSink(limit=3)
+        for i in range(10):
+            sink.emit("window_open", window=[i])
+        assert [e.seq for e in sink.events] == [7, 8, 9]
+        assert sink.dropped_events == 7
+        other = TraceSink(limit=3)
+        other.restore(pickle.loads(pickle.dumps(sink.checkpoint())))
+        assert [e.seq for e in other.events] == [7, 8, 9]
+        other.emit("window_open", window=[10])
+        # The restored sink keeps its limit: still the newest three.
+        assert [e.seq for e in other.events] == [8, 9, 10]
+        assert other.dropped_events == 8
+
     def test_absorb_restamps_and_marks_shard(self):
         parent = TraceSink()
         child = TraceSink()
